@@ -191,7 +191,8 @@ def max_pattern(ctx):
             if any(0 <= di(i) + p * above - c <= bound for c in chosen[i])
         }
     top = tuple(max(chosen[i]) for i in range(1, M + 1))
-    assert is_valid_pattern(top, ctx)
+    if not is_valid_pattern(top, ctx):
+        raise RuntimeError(f"max_pattern built {top}, not a pattern for {ctx}")
     return top
 
 

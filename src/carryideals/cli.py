@@ -4,8 +4,9 @@ Subcommands: enumerate, carry, decompose, compose, generators, betti, reg,
 contains, invariant, purity, torclass, verify-fixtures. Ideal files use the
 line-oriented text format (header "ring n=<n> p=<p>", one generator per line);
 labels are inline strings like "n=2 p=5 d=25 c=(0,1)". Every subcommand that
-produces data accepts --json. CARRYIDEALS_JOBS sets the process count for the
-homology sweeps.
+produces data accepts --json. Two-variable betti and reg requests use the
+closed formulas unless --koszul asks for the homology computation, which
+handles any number of variables.
 """
 
 import argparse
@@ -33,9 +34,6 @@ from .ideals import (
     labels_to_json,
     labels_to_text,
 )
-
-# dimension above which --koszul prints a size warning
-KOSZUL_WARN_CAP = 160
 
 
 def _parse_label(text, default_n=None):
@@ -167,12 +165,6 @@ def _cmd_betti(args):
     if mode in ("koszul", "both"):
         if ideal is None:
             ideal = carry_ideal(label[0], label[1], n, p)
-        if koszul.degree_cap(ideal) > KOSZUL_WARN_CAP:
-            print(
-                "warning: large homology computation "
-                f"(degrees up to {koszul.degree_cap(ideal)})",
-                file=sys.stderr,
-            )
         tables["koszul"] = koszul.koszul_betti(ideal, max_degree=args.max_degree)
     if args.json:
         _emit({name: t.to_json() for name, t in tables.items()})

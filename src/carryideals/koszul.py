@@ -1,22 +1,24 @@
 """Graded Betti numbers over F_p for any number of variables.
 
-For a finite-colength monomial ideal the Tor spaces against the residue field
-are the homology of the exterior-algebra strands: in internal degree j the
-strand runs through (S/I)_{j-i} tensor the i-th wedge of the variables, with
-the contraction differential. Each strand is finite dimensional, so the Betti
-numbers come from two exact ranks over F_p per homological position.
+For a finite-colength monomial ideal I the Tor spaces of S/I against the
+residue field are the homology of the Koszul complex of S/I. Its cells are
+pairs (m, S) of a standard monomial x^m (one outside I) and a subset S of
+the variables, in homological position |S|; the differential contracts one
+variable of S onto the monomial with alternating signs, dropping targets
+absorbed by I. The complex is graded by N^n, with (m, S) in multidegree
+a = m + 1_S, so it splits into blocks of at most 2^n cells
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34). Each
+block contributes its homology to the Betti number in degree |a|, and the
+ranks come from a small elimination over F_p.
 
-Strands are independent; set jobs > 1 (or CARRYIDEALS_JOBS) to fan them out
-over processes with a deterministic merge.
+Standard monomials come from one staircase walk, degree by degree: x^m is
+standard exactly when it is not a minimal generator and every x^(m - e_k)
+is standard.
 """
 
-import os
 from itertools import combinations
 
-from . import modp
 from .betti import BettiTable
-from .carry import compositions
-from .ideals import divides
 
 
 def _check_finite_colength(ideal):
@@ -31,15 +33,44 @@ def _check_finite_colength(ideal):
             )
 
 
+def _staircase(ideal, top=None):
+    """Standard monomials by degree, from degree 0 up to degree top or up to
+    the last nonempty degree, whichever comes first.
+
+    Each degree is listed in descending lexicographic order. The walk ends
+    at the first empty degree, since every later one is empty too; top=None
+    requires finite colength.
+    """
+    n = ideal.n
+    generators = set(ideal.generators)
+    prev = [(0,) * n]
+    pieces = [prev]
+    degree = 0
+    while top is None or degree < top:
+        below = set(prev)
+        piece = []
+        for m in {u[:k] + (u[k] + 1,) + u[k + 1 :] for u in prev for k in range(n)}:
+            if m not in generators and all(
+                m[k] == 0 or m[:k] + (m[k] - 1,) + m[k + 1 :] in below
+                for k in range(n)
+            ):
+                piece.append(m)
+        if not piece:
+            break
+        piece.sort(reverse=True)
+        pieces.append(piece)
+        prev = piece
+        degree += 1
+    return pieces
+
+
 def quotient_basis(ideal, degree):
-    """Monomials of the given degree that survive in the quotient."""
+    """Monomials of the given degree that survive in the quotient, in
+    descending lexicographic order."""
     if degree < 0:
         return []
-    return [
-        m
-        for m in compositions(degree, ideal.n)
-        if not ideal.contains_monomial(m)
-    ]
+    pieces = _staircase(ideal, degree)
+    return pieces[degree] if degree < len(pieces) else []
 
 
 def degree_cap(ideal):
@@ -54,13 +85,7 @@ def regularity(ideal):
     all later ones do; finite colength guarantees termination.
     """
     _check_finite_colength(ideal)
-    e = 0
-    last = 0
-    while True:
-        if not quotient_basis(ideal, e):
-            return last
-        last = e
-        e += 1
+    return len(_staircase(ideal)) - 1
 
 
 def projective_dimension(ideal):
@@ -81,111 +106,88 @@ def top_corner(ideal):
     the top quotient piece tensored with the one-dimensional top wedge, which
     shifts every torus weight by (1, ..., 1).
     """
-    r = regularity(ideal)
-    basis = quotient_basis(ideal, r)
+    _check_finite_colength(ideal)
+    pieces = _staircase(ideal)
+    basis = pieces[-1]
     weights = [tuple(x + 1 for x in m) for m in basis]
-    return r, tuple(basis), tuple(weights)
+    return len(pieces) - 1, tuple(basis), tuple(weights)
 
 
-def _strand_betti(gens, n, p, j, bases):
-    """Betti numbers (i -> multiplicity) of the degree-j strand.
+def _rank(rows, p):
+    """Rank over F_p of the matrix with the given integer rows."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[col], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], prow)]
+        rank += 1
+    return rank
 
-    bases maps each degree to its quotient monomial basis. Terms are indexed
-    by (monomial, wedge subset); the differential contracts one wedge factor
-    onto the monomial with alternating signs, dropping targets absorbed by
-    the ideal.
-    """
-    terms = {}
-    for i in range(n + 1):
-        basis = bases.get(j - i, [])
-        terms[i] = [(m, S) for m in basis for S in combinations(range(n), i)]
-    index = {
-        i: {key: k for k, key in enumerate(term)} for i, term in terms.items()
-    }
 
-    def rank_of_differential(i):
-        source, target = terms[i], terms[i - 1]
-        if not source or not target:
-            return 0
-        tindex = index[i - 1]
-        columns = []
-        for m, S in source:
-            col = [0] * len(target)
-            for t, k in enumerate(S):
-                m2 = m[:k] + (m[k] + 1,) + m[k + 1 :]
-                pos = tindex.get((m2, S[:t] + S[t + 1 :]))
-                if pos is not None:
-                    col[pos] += -1 if t % 2 else 1
-            columns.append(col)
-        # rank is transpose-invariant, so feed columns as rows
-        return modp.rank(columns, len(target), p)
-
+def _block_homology(cells, n, p):
+    """Homology (i -> dimension) of the Koszul block with the given cells,
+    each a sorted tuple S of variables."""
+    by_size = [[] for _ in range(n + 1)]
+    for S in cells:
+        by_size[len(S)].append(S)
     ranks = [0] * (n + 2)
     for i in range(1, n + 1):
-        ranks[i] = rank_of_differential(i)
-    out = {}
-    for i in range(1, n + 1):
-        mult = len(terms[i]) - ranks[i] - ranks[i + 1]
+        target = {T: k for k, T in enumerate(by_size[i - 1])}
+        rows = []
+        for S in by_size[i]:
+            row = [0] * len(target)
+            for t in range(i):
+                k = target.get(S[:t] + S[t + 1 :])
+                if k is not None:
+                    row[k] = -1 if t % 2 else 1
+            rows.append(row)
+        ranks[i] = _rank(rows, p)
+    homology = {}
+    for i in range(n + 1):
+        mult = len(by_size[i]) - ranks[i] - ranks[i + 1]
         if mult:
-            out[i] = mult
-    # homology at the quotient spot itself is k in degree 0 and nothing after
-    mult0 = len(terms[0]) - ranks[1]
-    assert mult0 == (1 if j == 0 else 0)
-    if mult0:
-        out[0] = mult0
-    return out
+            homology[i] = mult
+    return homology
 
 
-def _strand_worker(args):
-    gens, n, p, j = args
-
-    def member(m):
-        return any(divides(g, m) for g in gens)
-
-    bases = {}
-    for e in range(max(j - n, 0), j + 1):
-        bases[e] = [m for m in compositions(e, n) if not member(m)]
-    return j, _strand_betti(gens, n, p, j, bases)
-
-
-def koszul_betti(ideal, max_degree=None, jobs=None):
-    """Betti table of the quotient, one strand at a time.
+def koszul_betti(ideal, max_degree=None):
+    """Betti table of the quotient, one multidegree block at a time.
 
     max_degree defaults to a bound safely past the last nonzero entry
-    (n times the least generator degree, plus n). jobs > 1 computes strands
-    in a process pool; results do not depend on the schedule.
+    (n times the least generator degree, plus n); entries in internal
+    degrees above it are left out.
     """
     _check_finite_colength(ideal)
     if max_degree is None:
         max_degree = degree_cap(ideal)
-    if jobs is None:
-        jobs = int(os.environ.get("CARRYIDEALS_JOBS", "1") or "1")
     n, p = ideal.n, ideal.p
+    pieces = _staircase(ideal, max_degree)
+    subsets = [list(combinations(range(n), i)) for i in range(n + 1)]
     entries = {}
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        cap = min(max_degree, regularity(ideal) + n)
-        work = [(ideal.generators, n, p, j) for j in range(cap + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_strand_worker, work))
-        for j in sorted(results):
-            for i, mult in results[j].items():
-                entries[(i, j)] = mult
-    else:
-        bases = {}
-
-        def basis(e):
-            if e not in bases:
-                bases[e] = quotient_basis(ideal, e)
-            return bases[e]
-
-        for j in range(max_degree + 1):
-            # quotient pieces vanish from some degree on; once the strand
-            # window sits entirely past that point nothing more can appear
-            if j - n >= 1 and not basis(j - n):
-                break
-            local = {e: basis(e) for e in range(max(j - n, 0), j + 1)}
-            for i, mult in _strand_betti(ideal.generators, n, p, j, local).items():
-                entries[(i, j)] = mult
+    for j in range(min(max_degree, len(pieces) - 1 + n) + 1):
+        blocks = {}
+        for i in range(max(j - len(pieces) + 1, 0), min(j, n) + 1):
+            for m in pieces[j - i]:
+                for S in subsets[i]:
+                    a = list(m)
+                    for k in S:
+                        a[k] += 1
+                    blocks.setdefault(tuple(a), []).append(S)
+        for a, cells in blocks.items():
+            homology = _block_homology(cells, n, p)
+            # the quotient is generated by 1, so H_0 is k in multidegree 0 only
+            if homology.get(0, 0) != (1 if j == 0 else 0):
+                raise RuntimeError(
+                    f"Koszul block {a} has {homology.get(0, 0)}-dimensional H_0"
+                )
+            for i, mult in homology.items():
+                entries[(i, j)] = entries.get((i, j), 0) + mult
     return BettiTable(entries, n)

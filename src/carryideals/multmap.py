@@ -52,7 +52,8 @@ def _shift(c, d, p, plus_run, minus_run):
     ]
     target = pattern_length(d + 1, p)
     if len(vec) == target + 1:
-        assert vec[-1] == 0
+        if vec[-1] != 0:
+            raise RuntimeError(f"surplus trailing carry in {vec}")
         vec = vec[:-1]
     return tuple(vec)
 
@@ -83,7 +84,9 @@ def successor(c, ctx):
     _check_multivariate(ctx.n)
     sh = first_slack_column(c, ctx)
     nxt = _shift(c, ctx.d, ctx.p, full_run(ctx.d, ctx.p), sh)
-    assert is_valid_pattern(nxt, Context(ctx.n, ctx.p, ctx.d + 1))
+    up = Context(ctx.n, ctx.p, ctx.d + 1)
+    if not is_valid_pattern(nxt, up):
+        raise RuntimeError(f"successor built {nxt}, not a pattern for {up}")
     return nxt
 
 

@@ -239,12 +239,14 @@ def hilbert_burch(ideal):
     for j, (ystep, xstep) in enumerate(cols):
         left = (gens[j][0], gens[j][1] + ystep)
         right = (gens[j + 1][0] + xstep, gens[j + 1][1])
-        assert left == right
+        if left != right:
+            raise RuntimeError(f"syzygy column {j} does not compose to zero")
     # maximal minors: deleting row k leaves y-steps below the diagonal and
     # x-steps above, so the minor is x^(a_k - a_r) y^(b_k - b_1) = generator k
     for k in range(r):
         minor = (gens[k][0] - gens[-1][0], gens[k][1] - gens[0][1])
-        assert minor == gens[k]
+        if minor != gens[k]:
+            raise RuntimeError(f"maximal minor {k} is {minor}, not {gens[k]}")
     return HilbertBurch(tuple(gens), tuple(cols))
 
 

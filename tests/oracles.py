@@ -150,3 +150,71 @@ def ideal_contains_ideal(outer_gens, inner_gens):
     return all(
         any(divides(g, h) for g in outer_gens) for h in inner_gens
     )
+
+
+# --- Koszul strands (any number of variables) --------------------------------
+
+def rank_mod_p(rows, p):
+    """Rank over F_p by reduction to row echelon form, rows eliminated in turn
+    against the pivots found so far."""
+    pivots = []  # (column, row scaled to 1 there)
+    for row in rows:
+        row = [v % p for v in row]
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is not None:
+            inv = pow(row[lead], p - 2, p)
+            pivots.append((lead, [v * inv % p for v in row]))
+    return len(pivots)
+
+
+def standard_monomials(gens, n, degree):
+    """Monomials of one degree outside the ideal, by divisibility scans."""
+    if degree < 0:
+        return []
+    return [
+        m for m in compositions(degree, n)
+        if not any(divides(g, m) for g in gens)
+    ]
+
+
+def strand_betti(gens, n, p, max_degree):
+    """Betti numbers {(i, j): multiplicity} of S/I for j <= max_degree.
+
+    In internal degree j the strand runs through (S/I)_{j-i} tensor the i-th
+    wedge of the variables, with the contraction differential; the Betti
+    numbers are its homology. Strands past regularity + n are empty, so the
+    ideal needs finite colength for a large max_degree to be cheap.
+    """
+    entries = {}
+    for j in range(max_degree + 1):
+        # the quotient vanishes from some degree on, and then so do all later
+        # strands
+        if j > n and not standard_monomials(gens, n, j - n):
+            break
+        terms = [
+            [(m, S) for m in standard_monomials(gens, n, j - i)
+             for S in combinations(range(n), i)]
+            for i in range(n + 1)
+        ]
+        ranks = [0] * (n + 2)
+        for i in range(1, n + 1):
+            index = {key: k for k, key in enumerate(terms[i - 1])}
+            rows = []
+            for m, S in terms[i]:
+                row = [0] * len(index)
+                for t, k in enumerate(S):
+                    up = m[:k] + (m[k] + 1,) + m[k + 1:]
+                    pos = index.get((up, S[:t] + S[t + 1:]))
+                    if pos is not None:
+                        row[pos] = -1 if t % 2 else 1
+                rows.append(row)
+            ranks[i] = rank_mod_p(rows, p)
+        for i in range(n + 1):
+            mult = len(terms[i]) - ranks[i] - ranks[i + 1]
+            if mult:
+                entries[(i, j)] = mult
+    return entries

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from carryideals.carry import Context, enumerate_patterns
+from carryideals.carry import Context, compositions, enumerate_patterns
 from carryideals.ideals import MonomialIdeal, carry_ideal, ideal_from_labels
 from carryideals.koszul import (
+    _rank,
     degree_cap,
     koszul_betti,
     projective_dimension,
@@ -14,6 +17,7 @@ from carryideals.koszul import (
     top_corner,
 )
 from carryideals.twovars import betti_formula
+from oracles import minor_rank, rank_mod_p, strand_betti
 
 QUARTIC_TABLE = {
     (0, 0): 1,
@@ -98,13 +102,93 @@ def test_random_invariant_ideals_pd_reg():
         assert table[n, reg + n] == len(quotient_basis(ideal, reg))
 
 
-def test_parallel_matches_serial():
-    ideal = carry_ideal((0,), 4, 3, 3)
-    assert koszul_betti(ideal, jobs=2) == koszul_betti(ideal)
-
-
 def test_requires_finite_colength():
     with pytest.raises(ValueError):
         koszul_betti(MonomialIdeal([(1, 0)], 2, 2))
     with pytest.raises(ValueError):
         regularity(MonomialIdeal([(2, 1), (1, 2)], 2, 3))
+
+
+def _oracle_table(ideal, max_degree=None):
+    if max_degree is None:
+        max_degree = degree_cap(ideal)
+    return strand_betti(ideal.generators, ideal.n, ideal.p, max_degree)
+
+
+def _sums_of_carry_ideals(seed, count):
+    """Seeded sums of one to three carry ideals in three and four variables."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((3, 4))
+        p = rng.choice((2, 3, 5))
+        labels = []
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 6 if n == 3 else 4)
+            labels.append((rng.choice(enumerate_patterns(Context(n, p, d))), d))
+        yield rng, ideal_from_labels(labels, n, p)
+
+
+def test_blocks_match_strand_oracle():
+    quartic = carry_ideal((0,), 4, 3, 3)
+    assert koszul_betti(quartic).entries == _oracle_table(quartic)
+    for max_degree in (-1, 0, 4, 5, 8):
+        assert (
+            koszul_betti(quartic, max_degree=max_degree).entries
+            == _oracle_table(quartic, max_degree)
+        )
+    for rng, ideal in _sums_of_carry_ideals(47, 40):
+        assert koszul_betti(ideal).entries == _oracle_table(ideal)
+        cut = rng.randint(0, degree_cap(ideal))
+        assert (
+            koszul_betti(ideal, max_degree=cut).entries
+            == _oracle_table(ideal, cut)
+        )
+
+
+def test_quotient_basis_in_composition_order():
+    for _, ideal in _sums_of_carry_ideals(53, 20):
+        for e in range(regularity(ideal) + 2):
+            assert quotient_basis(ideal, e) == [
+                m for m in compositions(e, ideal.n)
+                if not ideal.contains_monomial(m)
+            ]
+
+
+PRIMES = (2, 3, 5, 7, 97)
+
+
+def _matrices(max_dim=6, max_entry=200):
+    return st.integers(1, max_dim).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-max_entry, max_entry), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=max_dim,
+        )
+    )
+
+
+@given(_matrices(max_dim=4), st.sampled_from(PRIMES))
+def test_rank_against_minor_oracle(rows, p):
+    expected = minor_rank([[v % p for v in row] for row in rows], p)
+    assert _rank(rows, p) == expected
+    assert rank_mod_p(rows, p) == expected
+
+
+@given(_matrices(max_dim=7), st.sampled_from(PRIMES))
+def test_rank_transpose_invariant(rows, p):
+    transpose = [list(col) for col in zip(*rows)]
+    assert _rank(rows, p) == _rank(transpose, p)
+
+
+def test_rank_fixed_cases():
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _rank(identity, 5) == 3
+    assert _rank([[0, 0], [0, 0]], 3) == 0
+    assert _rank([], 3) == 0
+    # divisible entries vanish mod p
+    assert _rank([[6, 3], [2, 1]], 3) == 1
+    assert _rank([[2, 4], [4, 2]], 2) == 0
+    # characteristic matters
+    sensitive = [[1, 1], [1, -1]]
+    assert _rank(sensitive, 2) == 1
+    assert _rank(sensitive, 3) == 2
