@@ -7,10 +7,18 @@ fixed length M with positional comparison; entries outside 1..M are 0 by
 convention, and d < p gives the empty pattern. The set of patterns realized
 by degree-d monomials in n variables is a finite lattice under the entrywise
 order, with bottom (0,...,0).
+
+A pattern fixes every digit-column sum s_j = d_j + p*c_{j+1} - c_j, and
+conversely any exponents whose j-th base-p digits sum to s_j in every column
+have carry pattern c. So the monomials of one pattern are the products, over
+the columns, of the splits of s_j into n digits below p. The monomial basis
+of an invariant subspace is built from the lattice that way, at a cost that
+grows with the size of the basis, not with the number of degree-d monomials.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .basep import check_prime, digit_at, expand, pattern_length
 
@@ -99,7 +107,7 @@ def is_valid_pattern(c, ctx):
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_patterns(ctx):
     """All carry patterns of degree-d monomials, in lexicographic order.
 
@@ -222,20 +230,60 @@ def compositions(d, n):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=1024)
+def _digit_splits(n, p, s):
+    """The n-tuples of base-p digits (0..p-1) summing to s."""
+    if n == 1:
+        return ((s,),) if 0 <= s < p else ()
+    return tuple(
+        (first,) + rest
+        for first in range(min(s, p - 1), -1, -1)
+        for rest in _digit_splits(n - 1, p, s - first)
+    )
+
+
+def monomials_of_pattern(c, ctx):
+    """Exponent vectors of degree d whose carry pattern is exactly c.
+
+    Column j contributes p^j times a split of the column sum s_j into n
+    digits, and every choice of one split per column gives a distinct
+    exponent vector of pattern c. The result is unordered, and empty when c
+    has the right length but is not a carry pattern for ctx.
+    """
+    c = tuple(c)
+    if len(c) != ctx.length or any(not isinstance(x, int) for x in c):
+        raise ValueError(f"{c} is not a carry pattern for {ctx}")
+    n, p = ctx.n, ctx.p
+    out = [(0,) * n]
+    weight = 1
+    for s in column_sums(c, ctx):
+        splits = _digit_splits(n, p, s)
+        if not splits:
+            return []
+        if s:
+            col = [tuple(weight * x for x in t) for t in splits]
+            out = [tuple(map(add, b, t)) for b in out for t in col]
+        weight *= p
+    return out
+
+
 def monomials_with_carry_leq(c, ctx):
-    """Exponent vectors of degree d whose carry pattern is entrywise <= c.
+    """Exponent vectors of degree d whose carry pattern is entrywise <= c,
+    in descending lexicographic order.
 
     This is the monomial basis of the smallest invariant subspace of the
-    degree-d forms containing the carry class of c.
+    degree-d forms containing the carry class of c: the union, over the
+    lattice elements c' <= c, of the digit-split products of c'.
     """
     c = tuple(c)
     if not is_valid_pattern(c, ctx):
         raise ValueError(f"{c} is not a carry pattern for {ctx}")
-    return [
-        b
-        for b in compositions(ctx.d, ctx.n)
-        if leq(carry_pattern(b, ctx.p), c)
-    ]
+    out = []
+    for below in enumerate_patterns(ctx):
+        if leq(below, c):
+            out.extend(monomials_of_pattern(below, ctx))
+    out.sort(reverse=True)
+    return out
 
 
 def cover_edges(ctx):

@@ -51,6 +51,14 @@ def _parse_label(text, default_n=None):
     return n, int(fields["p"]), int(fields["d"]), parse_pattern(fields["c"])
 
 
+def _one_label(text):
+    """The (pattern, degree) of a "d=<d> c=(...)" argument."""
+    labels = labels_from_text(text)
+    if len(labels) != 1:
+        raise ValueError(f"expected one label like 'd=8 c=(0,0,0)', got {text!r}")
+    return labels[0]
+
+
 def _read_ideal(path):
     if path == "-":
         return ideal_from_text(sys.stdin.read())
@@ -103,10 +111,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_compose(args):
-    labels = []
-    for item in args.label or []:
-        fields = dict(tok.split("=", 1) for tok in item.split())
-        labels.append((parse_pattern(fields["c"]), int(fields["d"])))
+    labels = [_one_label(item) for item in args.label or []]
     if args.labels_file:
         with open(args.labels_file, encoding="utf-8") as fh:
             labels.extend(labels_from_text(fh.read()))
@@ -202,12 +207,8 @@ def _cmd_reg(args):
 def _cmd_contains(args):
     n = args.n
     p = args.p
-    fields_outer = dict(tok.split("=", 1) for tok in args.outer.split())
-    fields_inner = dict(tok.split("=", 1) for tok in args.inner.split())
-    c = parse_pattern(fields_outer["c"])
-    d = int(fields_outer["d"])
-    c2 = parse_pattern(fields_inner["c"])
-    d2 = int(fields_inner["d"])
+    c, d = _one_label(args.outer)
+    c2, d2 = _one_label(args.inner)
     verdict = multmap.contains(c, d, c2, d2, n, p)
     if args.json:
         _emit({"contains": verdict})

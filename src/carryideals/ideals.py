@@ -11,6 +11,8 @@ Ideals here are proper and nonzero: at least one generator, never the unit.
 """
 
 from functools import lru_cache
+from itertools import chain
+from operator import le
 
 from .basep import binomial_mod_p, check_prime
 from .carry import (
@@ -21,6 +23,7 @@ from .carry import (
     format_pattern,
     leq,
     maximal_elements,
+    monomials_of_pattern,
     monomials_with_carry_leq,
     parse_pattern,
 )
@@ -44,33 +47,38 @@ class NotInvariantError(ValueError):
 
 
 def divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _sort_key(e):
-    # degree first, then descending lexicographic, so x-heavy monomials print first
-    return (sum(e), tuple(-x for x in e))
+    return all(map(le, a, b))
 
 
 def minimalize(gens):
-    """Prune a generating set to the antichain of divisibility-minimal members.
+    """Prune a generating set to the antichain of divisibility-minimal members,
+    in canonical order (degree, then descending lexicographic).
 
-    Distinct monomials of equal degree never divide one another, so each
-    candidate is only tested against the accepted generators of strictly
-    smaller degree.
+    Distinct monomials of equal degree never divide one another, so the lowest
+    degree is kept whole and each later candidate is only tested against the
+    accepted generators of strictly smaller degree.
     """
-    gens = sorted(set(gens), key=_sort_key)
+    levels = {}
+    for g in set(gens):
+        levels.setdefault(sum(g), []).append(g)
     out = []
-    lower = []
-    prev_degree = None
-    for g in gens:
-        dg = sum(g)
-        if dg != prev_degree:
-            lower = list(out)
-            prev_degree = dg
-        if not any(divides(h, g) for h in lower):
-            out.append(g)
+    for degree in sorted(levels):
+        level = sorted(levels[degree], reverse=True)
+        if out:
+            level = [g for g in level if not any(divides(h, g) for h in out)]
+        out.extend(level)
     return out
+
+
+def _reject(gens, n):
+    """Raise the error for the first malformed generator, in input order."""
+    for g in gens:
+        if len(g) != n:
+            raise ValueError(f"generator {g} does not have {n} exponents")
+        if any(not isinstance(x, int) or x < 0 for x in g):
+            raise ValueError(f"bad exponent vector {g}")
+        if sum(g) == 0:
+            raise ValueError("the unit ideal is not supported")
 
 
 class MonomialIdeal:
@@ -89,13 +97,14 @@ class MonomialIdeal:
         gens = [tuple(g) for g in generators]
         if not gens:
             raise ValueError("the zero ideal is not supported")
-        for g in gens:
-            if len(g) != n:
-                raise ValueError(f"generator {g} does not have {n} exponents")
-            if any(not isinstance(x, int) or x < 0 for x in g):
-                raise ValueError(f"bad exponent vector {g}")
-            if sum(g) == 0:
-                raise ValueError("the unit ideal is not supported")
+        exponents = list(chain.from_iterable(gens))
+        if (
+            any(len(g) != n for g in gens)
+            or not all(issubclass(t, int) for t in set(map(type, exponents)))
+            or min(exponents) < 0
+            or (0,) * n in gens
+        ):
+            _reject(gens, n)
         object.__setattr__(self, "generators", tuple(minimalize(gens)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
@@ -173,13 +182,18 @@ def ideal_from_labels(labels, n, p):
     return MonomialIdeal(gens, n, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _fibers(n, p, d):
-    """Degree-d monomials grouped by carry pattern."""
-    out = {}
-    for b in compositions(d, n):
-        out.setdefault(carry_pattern(b, p), []).append(b)
-    return {c: tuple(ms) for c, ms in out.items()}
+    """Degree-d monomials grouped by carry pattern, each fiber in descending
+    lexicographic order and the fibers ordered by their first members,
+    descending."""
+    ctx = Context(n, p, d)
+    fibers = [
+        (c, tuple(sorted(monomials_of_pattern(c, ctx), reverse=True)))
+        for c in enumerate_patterns(ctx)
+    ]
+    fibers.sort(key=lambda item: item[1][0], reverse=True)
+    return dict(fibers)
 
 
 def invariance_witness(ideal):
@@ -326,11 +340,25 @@ def ideal_to_text(ideal):
     return "\n".join(lines) + "\n"
 
 
+def _fields(tokens, what, required):
+    """key=value tokens as a dict; every key in required must be present."""
+    fields = {}
+    for tok in tokens:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"bad token {tok!r} in {what}: expected key=value")
+        fields[key] = val
+    for key in required:
+        if key not in fields:
+            raise ValueError(f"{what} has no {key}= field")
+    return fields
+
+
 def ideal_from_text(text):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("ring"):
         raise ValueError("ideal text must start with a 'ring n=<n> p=<p>' header")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
+    fields = _fields(lines[0].split()[1:], "the ring header", ("n", "p"))
     n, p = int(fields["n"]), int(fields["p"])
     gens = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
     return MonomialIdeal(gens, n, p)
@@ -355,16 +383,13 @@ def labels_to_text(labels):
 
 
 def labels_from_text(text):
+    """Labels from lines like "d=25 c=(0,1)"; other key=value fields, such as
+    n= and p=, are ignored."""
     labels = []
     for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        fields = {}
-        for tok in ln.split():
-            key, _, val = tok.partition("=")
-            fields[key] = val
-        labels.append((parse_pattern(fields["c"]), int(fields["d"])))
+        if ln.strip():
+            fields = _fields(ln.split(), f"label {ln.strip()!r}", ("c", "d"))
+            labels.append((parse_pattern(fields["c"]), int(fields["d"])))
     return labels
 
 

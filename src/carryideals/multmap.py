@@ -37,7 +37,7 @@ def first_slack_column(c, ctx):
     for j, s in enumerate(column_sums(c, ctx)):
         if s < bound:
             return j
-    raise AssertionError("every column full; impossible for n >= 2")
+    raise RuntimeError("every column full; impossible for n >= 2")
 
 
 def _shift(c, d, p, plus_run, minus_run):

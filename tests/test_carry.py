@@ -1,3 +1,5 @@
+from operator import le
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from carryideals.carry import (
     maximal_elements,
     meet,
     min_pattern,
+    monomials_of_pattern,
     monomials_with_carry_leq,
     parse_pattern,
 )
@@ -155,6 +158,42 @@ def test_monomials_with_carry_leq():
             (0, 4, 0), (0, 3, 1), (0, 1, 3), (0, 0, 4),
         ]
     )
+
+
+def _oracle_scan(d, n, p):
+    """Degree-d monomials in descending lexicographic order, with carries."""
+    return [(b, oracle_carry(b, p)) for b in sorted(compositions(d, n), reverse=True)]
+
+
+def _sweep_degrees(n, p):
+    # a power of p and the degree just below it, where the lattices change
+    # shape, plus degrees with nonzero low digits
+    if n == 4:
+        return sorted({p**2 - 1, p**2, 2 * p**2 + 1})
+    return sorted({p**2 + 2, p**3 - 1, p**3, 3 * p**2 + 1})
+
+
+def test_monomials_with_carry_leq_matches_oracle_scan():
+    for n in (2, 3, 4):
+        for p in (2, 3, 5):
+            for d in _sweep_degrees(n, p):
+                ctx = Context(n, p, d)
+                scan = _oracle_scan(d, n, p)
+                for c in enumerate_patterns(ctx):
+                    want = [b for b, cb in scan if all(map(le, cb, c))]
+                    assert monomials_with_carry_leq(c, ctx) == want, (n, p, d, c)
+                    exact = sorted(monomials_of_pattern(c, ctx), reverse=True)
+                    assert exact == [b for b, cb in scan if cb == c], (n, p, d, c)
+
+
+def test_monomials_of_pattern_outside_the_lattice():
+    ten = Context(2, 2, 10)
+    assert monomials_of_pattern((1, 1, 0), ten) == []
+    assert monomials_of_pattern((0, 2, 0), ten) == []
+    with pytest.raises(ValueError):
+        monomials_of_pattern((0, 0), ten)
+    with pytest.raises(ValueError):
+        monomials_with_carry_leq((1, 1, 0), ten)
 
 
 def test_fiber_union_is_whole_space():

@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from carryideals.cli import main
 
@@ -176,9 +179,45 @@ def test_error_exit_code(capsys):
     assert "error:" in err
 
 
-def test_stdin_ideal(capsys, monkeypatch):
-    import io
+@pytest.mark.parametrize(
+    "text, field",
+    [("ring n=2\n1 1\n", "p="), ("ring p=3\n1 1\n", "n=")],
+)
+def test_malformed_ideal_header(capsys, monkeypatch, text, field):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "decompose", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
 
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["compose", "-n", "2", "-p", "3", "-l", "d=4"], "c="),
+        (["compose", "-n", "2", "-p", "3", "-l", "c=(0)"], "d="),
+        (["contains", "-n", "2", "-p", "2", "--outer", "d=1", "--inner", "d=2 c=(1)"], "c="),
+        (["contains", "-n", "2", "-p", "2", "--outer", "d=1 c=()", "--inner", "c=(1)"], "d="),
+    ],
+)
+def test_malformed_label_argument(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [("d=4 c=(0)\nd=5\n", "c="), ("d=4 c=(0)\nc=(0)\n", "d=")],
+)
+def test_malformed_labels_file(tmp_path, capsys, text, field):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "compose", "-n", "2", "-p", "3", "--labels-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
+
+
+def test_stdin_ideal(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(SIX_TEXT))
     code, out, _ = run(capsys, "decompose", "-")
     assert code == 0 and "d=10 c=(1,1,1)" in out

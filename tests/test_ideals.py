@@ -6,6 +6,7 @@ import pytest
 from carryideals.carry import Context, enumerate_patterns, max_pattern
 from carryideals.ideals import (
     MonomialIdeal,
+    _fibers,
     NotInvariantError,
     carry_ideal,
     decompose,
@@ -25,7 +26,7 @@ from carryideals.ideals import (
     power,
     product,
 )
-from oracles import compositions
+from oracles import compositions, divides, oracle_carry
 
 SIX_GENS = [(8, 0), (7, 3), (5, 4), (4, 5), (3, 7), (0, 8)]
 SIX_LABELS = [((0, 0, 0), 8), ((0, 0, 1), 9), ((1, 1, 1), 10)]
@@ -45,14 +46,60 @@ def test_construction_and_minimalization():
     assert ideal.generators == ((2, 0), (0, 2))
     assert ideal.min_degree == 2 and ideal.max_degree == 2
     assert minimalize([(1, 0), (2, 0), (1, 1)]) == [(1, 0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the zero ideal is not supported"):
         MonomialIdeal([], 2, 2)
-    with pytest.raises(ValueError):
-        MonomialIdeal([(0, 0)], 2, 2)
-    with pytest.raises(ValueError):
-        MonomialIdeal([(1, 0, 0)], 2, 2)
-    with pytest.raises(ValueError):
-        MonomialIdeal([(1, -1)], 2, 2)
+    with pytest.raises(ValueError, match="the unit ideal is not supported"):
+        MonomialIdeal([(1, 0), (0, 0)], 2, 2)
+    with pytest.raises(ValueError, match=r"generator \(1, 0, 0\) does not have 2 exponents"):
+        MonomialIdeal([(1, 0), (1, 0, 0)], 2, 2)
+    with pytest.raises(ValueError, match=r"bad exponent vector \(1, -1\)"):
+        MonomialIdeal([(1, 0), (1, -1)], 2, 2)
+    with pytest.raises(ValueError, match=r"bad exponent vector \(1, 0.5\)"):
+        MonomialIdeal([(1, 0.5)], 2, 2)
+    with pytest.raises(ValueError, match=r"bad exponent vector \(2, '1'\)"):
+        MonomialIdeal([(2, "1")], 2, 2)
+    # the first malformed generator, in input order, names the error
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        MonomialIdeal([(1, 0), (2.0, 0), (0, 0), (1, 2, 3)], 2, 2)
+    with pytest.raises(ValueError, match="does not have 2 exponents"):
+        MonomialIdeal([(1, 2, 3), (0, 0), (-1, 0)], 2, 2)
+
+
+def _canonical_antichain(gens):
+    gens = set(gens)
+    keep = [g for g in gens if not any(h != g and divides(h, g) for h in gens)]
+    return sorted(keep, key=lambda e: (sum(e), tuple(-x for x in e)))
+
+
+def test_minimalize_matches_brute_force():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gens = [
+            tuple(rng.randint(0, 6) for _ in range(n))
+            for _ in range(rng.randint(1, 25))
+        ]
+        gens = [g for g in gens if any(g)] or [(1,) * n]
+        assert minimalize(gens) == _canonical_antichain(gens), gens
+        assert MonomialIdeal(gens, n, 3).generators == tuple(_canonical_antichain(gens))
+
+
+def test_fibers_match_oracle_grouping():
+    for n, p, degrees in (
+        (1, 3, (1, 8, 9)),
+        (2, 2, (7, 8, 13, 40)),
+        (2, 5, (24, 25, 62)),
+        (3, 3, (8, 9, 26, 27)),
+        (4, 2, (7, 8, 11)),
+        (4, 5, (24, 25)),
+    ):
+        for d in degrees:
+            want = {}
+            for b in sorted(compositions(d, n), reverse=True):
+                want.setdefault(oracle_carry(b, p), []).append(b)
+            got = _fibers(n, p, d)
+            assert list(got) == list(want), (n, p, d)
+            assert got == {c: tuple(ms) for c, ms in want.items()}, (n, p, d)
 
 
 def test_carry_ideal_fixtures():
@@ -257,6 +304,12 @@ def test_text_round_trip():
     assert ideal_from_text(scrambled) == ideal
     with pytest.raises(ValueError):
         ideal_from_text("7 3 2\n")
+    with pytest.raises(ValueError, match="no p= field"):
+        ideal_from_text("ring n=2\n1 1\n")
+    with pytest.raises(ValueError, match="no n= field"):
+        ideal_from_text("ring p=3\n1 1\n")
+    with pytest.raises(ValueError, match="expected key=value"):
+        ideal_from_text("ring n=2 3\n1 1\n")
 
 
 def test_json_round_trip():
@@ -269,3 +322,8 @@ def test_labels_text_round_trip():
     text = labels_to_text(SIX_LABELS)
     assert "d=8 c=(0,0,0)" in text
     assert labels_from_text(text) == SIX_LABELS
+    assert labels_from_text("n=2 p=2 d=8 c=(0,0,0)\n\n") == SIX_LABELS[:1]
+    with pytest.raises(ValueError, match="no c= field"):
+        labels_from_text("d=8 c=(0,0,0)\nd=9\n")
+    with pytest.raises(ValueError, match="no d= field"):
+        labels_from_text("c=(0,0,0)\n")
