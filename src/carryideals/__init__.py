@@ -42,7 +42,6 @@ from .ideals import (
     ideal_from_labels,
     invariance_witness,
     is_invariant,
-    is_invariant_oracle,
     power,
     product,
 )

@@ -220,16 +220,6 @@ def maximal_elements(patterns):
     return {c for c in pats if not any(c != o and leq(c, o) for o in pats)}
 
 
-def compositions(d, n):
-    """All n-tuples of nonnegative integers summing to d."""
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in compositions(d - first, n - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=1024)
 def _digit_splits(n, p, s):
     """The n-tuples of base-p digits (0..p-1) summing to s."""

@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import fixtures, gl2, koszul, multmap, twovars
+from .betti import BettiTable
 from .carry import (
     Context,
     carry_pattern,
@@ -23,6 +24,7 @@ from .carry import (
     parse_pattern,
 )
 from .ideals import (
+    _fields,
     carry_ideal,
     decompose,
     ideal_from_labels,
@@ -36,18 +38,10 @@ from .ideals import (
 )
 
 
-def _parse_label(text, default_n=None):
-    fields = {}
-    for tok in text.split():
-        key, eq, val = tok.partition("=")
-        if not eq:
-            raise ValueError(f"bad label token {tok!r}")
-        fields[key] = val
-    n = int(fields.get("n", default_n or 0))
-    if not n:
-        raise ValueError("label needs n=<variables> (or a two-variable default)")
-    if "p" not in fields or "d" not in fields or "c" not in fields:
-        raise ValueError("label needs p=, d= and c=(...)")
+def _parse_label(text):
+    """(n, p, d, c) of a label like "n=2 p=5 d=25 c=(0,1)"; n defaults to 2."""
+    fields = _fields(text.split(), f"label {text!r}", ("p", "d", "c"))
+    n = int(fields.get("n", 2))
     return n, int(fields["p"]), int(fields["d"]), parse_pattern(fields["c"])
 
 
@@ -126,7 +120,7 @@ def _cmd_compose(args):
 
 
 def _cmd_generators(args):
-    n, p, d, c = _parse_label(args.label, default_n=2)
+    n, p, d, c = _parse_label(args.label)
     if n == 2:
         ideal, factors = twovars.generators_by_segmentation(c, d, p)
     else:
@@ -146,10 +140,11 @@ def _cmd_generators(args):
     return 0
 
 
-def _resolve_betti_input(args):
-    """Returns (ideal_or_None, label_or_None, n, p)."""
+def _resolve_input(args):
+    """The ideal file or --label of betti, reg and purity, as
+    (ideal_or_None, label_or_None, n, p)."""
     if args.label:
-        n, p, d, c = _parse_label(args.label, default_n=2)
+        n, p, d, c = _parse_label(args.label)
         return None, (c, d), n, p
     if not args.ideal:
         raise ValueError("give a --label or an ideal file")
@@ -158,7 +153,9 @@ def _resolve_betti_input(args):
 
 
 def _cmd_betti(args):
-    ideal, label, n, p = _resolve_betti_input(args)
+    if args.max_degree is not None and args.max_degree < 0:
+        raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
+    ideal, label, n, p = _resolve_input(args)
     mode = args.mode
     if mode == "auto":
         mode = "formula" if (label is not None and n == 2) else "koszul"
@@ -166,7 +163,11 @@ def _cmd_betti(args):
     if mode in ("formula", "both"):
         if n != 2 or label is None:
             raise ValueError("--formula needs a two-variable label")
-        tables["formula"] = twovars.betti_formula(label[0], label[1], p)
+        table = twovars.betti_formula(label[0], label[1], p)
+        if args.max_degree is not None:
+            kept = {k: v for k, v in table.entries.items() if k[1] <= args.max_degree}
+            table = BettiTable(kept, table.n)
+        tables["formula"] = table
     if mode in ("koszul", "both"):
         if ideal is None:
             ideal = carry_ideal(label[0], label[1], n, p)
@@ -185,7 +186,7 @@ def _cmd_betti(args):
 
 
 def _cmd_reg(args):
-    ideal, label, n, p = _resolve_betti_input(args)
+    ideal, label, n, p = _resolve_input(args)
     mode = args.mode
     if mode == "auto":
         mode = "formula" if (label is not None and n == 2) else "koszul"
@@ -243,11 +244,9 @@ def _cmd_invariant(args):
 
 
 def _cmd_purity(args):
-    if args.label:
-        n, p, d, c = _parse_label(args.label, default_n=2)
-        ideal = carry_ideal(c, d, n, p)
-    else:
-        ideal = _read_ideal(args.ideal)
+    ideal, label, n, p = _resolve_input(args)
+    if ideal is None:
+        ideal = carry_ideal(label[0], label[1], n, p)
     cert = twovars.pure_power_certificate(ideal)
     if args.json:
         obj = {"pure": cert is not None}
@@ -262,7 +261,7 @@ def _cmd_purity(args):
 
 
 def _cmd_torclass(args):
-    n, p, d, c = _parse_label(args.label, default_n=2)
+    n, p, d, c = _parse_label(args.label)
     ideal = carry_ideal(c, d, n, p)
     cls = gl2.tor_class(ideal, args.i, args.j)
     if args.json:

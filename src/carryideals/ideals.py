@@ -3,9 +3,9 @@
 An ideal of k[x_1..x_n] closed under the full linear group in characteristic
 p is a sum of carry ideals: for each degree d and carry pattern c, the carry
 ideal is generated by the degree-d monomials whose pattern is entrywise <= c.
-This module builds those ideals, decomposes an invariant ideal into an
-irredundant sum of carry ideals, tests invariance two independent ways, and
-implements products, powers and Frobenius powers.
+This module builds those ideals, tests invariance through the carry classes
+of the graded pieces, decomposes an invariant ideal into an irredundant sum
+of carry ideals, and implements products, powers and Frobenius powers.
 
 Ideals here are proper and nonzero: at least one generator, never the unit.
 """
@@ -14,11 +14,10 @@ from functools import lru_cache
 from itertools import chain
 from operator import le
 
-from .basep import binomial_mod_p, check_prime
+from .basep import check_prime
 from .carry import (
     Context,
     carry_pattern,
-    compositions,
     enumerate_patterns,
     format_pattern,
     leq,
@@ -138,10 +137,6 @@ class MonomialIdeal:
     def contains_monomial(self, m):
         return any(divides(g, m) for g in self.generators)
 
-    def degree_piece(self, d):
-        """Monomials of degree d lying in the ideal."""
-        return [m for m in compositions(d, self.n) if self.contains_monomial(m)]
-
 
 def degree_pieces(ideal, up_to):
     """Monomial sets of the graded pieces from degree 0 to up_to, built
@@ -231,70 +226,26 @@ def is_invariant(ideal):
     return invariance_witness(ideal) is None
 
 
-def is_invariant_oracle(ideal, max_degree=None):
-    """Invariance by direct group action, independent of the lattice theory.
-
-    Applies every elementary transvection x_j -> x_j + t*x_i to each
-    generator, expanding by binomial coefficients mod p; every monomial with
-    nonvanishing coefficient must lie in the ideal. The transvections,
-    the torus and the permutations generate the linear group, and the torus
-    and permutations act trivially up to scalars on a monomial ideal's
-    membership question, so this check is complete.
-    """
-    n, p = ideal.n, ideal.p
-    pieces = degree_pieces(ideal, ideal.max_degree)
-    for g in ideal.generators:
-        dg = sum(g)
-        if max_degree is not None and dg > max_degree:
-            continue
-        piece = pieces[dg]
-        for j in range(n):
-            bj = g[j]
-            if bj == 0:
-                continue
-            for i in range(n):
-                if i == j:
-                    continue
-                for k in range(1, bj + 1):
-                    if binomial_mod_p(bj, k, p) == 0:
-                        continue
-                    m = list(g)
-                    m[j] -= k
-                    m[i] += k
-                    if tuple(m) not in piece:
-                        return False
-    return True
-
-
 def decompose(ideal):
     """Write an invariant ideal as an irredundant sum of carry ideals.
 
-    Scans each degree d up to the top generator degree: the classes hit by
-    the degree-d piece, minus those already produced by multiplying the
-    previous piece by linear forms, contribute their maximal elements.
+    The labels of degree d are the maximal carry classes of the minimal
+    generators of degree d, degrees ascending. This is the rule "classes hit
+    by the degree-d piece, minus the classes grown from degree d-1": in an
+    invariant ideal the degree-d multiples of the degree-(d-1) piece span an
+    invariant subspace, which is a union of whole carry classes, and the rest
+    of the degree-d piece is exactly the set of degree-d minimal generators.
     Raises NotInvariantError (with witness) on non-invariant input.
     """
     witness = invariance_witness(ideal)
     if witness is not None:
         raise NotInvariantError(*witness)
-    n, p = ideal.n, ideal.p
-    pieces = degree_pieces(ideal, ideal.max_degree)
-    labels = []
-    prev = None
-    for d in range(ideal.min_degree, ideal.max_degree + 1):
-        hit = {carry_pattern(m, p) for m in pieces[d]}
-        if prev is None:
-            grown = set()
-        else:
-            grown = {
-                carry_pattern(m[:i] + (m[i] + 1,) + m[i + 1 :], p)
-                for m in prev
-                for i in range(n)
-            }
-        for c in sorted(maximal_elements(hit - grown)):
-            labels.append((c, d))
-        prev = pieces[d]
-    return labels
+    classes = {}
+    for g in ideal.generators:
+        classes.setdefault(sum(g), set()).add(carry_pattern(g, ideal.p))
+    return [
+        (c, d) for d in sorted(classes) for c in sorted(maximal_elements(classes[d]))
+    ]
 
 
 def product(I, J):

@@ -152,6 +152,62 @@ def ideal_contains_ideal(outer_gens, inner_gens):
     )
 
 
+# --- invariance and decomposition -------------------------------------------
+
+def in_ideal(gens, m):
+    return any(divides(g, m) for g in gens)
+
+
+def is_invariant_oracle(gens, n, p):
+    """Invariance by direct group action, independent of the lattice theory.
+
+    Applies every elementary transvection x_j -> x_j + t*x_i to each
+    generator: the image of x^b has the monomial x^(b - k e_j + k e_i) with
+    coefficient binomial(b_j, k) t^k, and every one whose coefficient is
+    nonzero mod p must lie in the ideal. The transvections, the torus and the
+    permutations generate the linear group, and the torus and permutations
+    act trivially up to scalars on a monomial ideal's membership question, so
+    this check is complete.
+    """
+    for g in gens:
+        for j in range(n):
+            for i in range(n):
+                if i == j:
+                    continue
+                for k in range(1, g[j] + 1):
+                    if math.comb(g[j], k) % p == 0:
+                        continue
+                    m = list(g)
+                    m[j] -= k
+                    m[i] += k
+                    if not in_ideal(gens, m):
+                        return False
+    return True
+
+
+def oracle_decompose(gens, n, p):
+    """Labels (pattern, degree) of an invariant ideal, by the rule on graded
+    pieces: in each degree, the carry classes hit by the piece minus the
+    classes of the previous piece times the variables, keeping the maximal
+    ones, in sorted order. Pieces are scanned over all compositions."""
+    labels = []
+    prev = []
+    for d in range(min(map(sum, gens)), max(map(sum, gens)) + 1):
+        piece = [m for m in compositions(d, n) if in_ideal(gens, m)]
+        hit = {oracle_carry(m, p) for m in piece}
+        grown = {
+            oracle_carry(m[:i] + (m[i] + 1,) + m[i + 1:], p)
+            for m in prev
+            for i in range(n)
+        }
+        new = hit - grown
+        # maximal in the entrywise order, which divides also tests
+        top = [c for c in new if not any(c != o and divides(c, o) for o in new)]
+        labels.extend((c, d) for c in sorted(top))
+        prev = piece
+    return labels
+
+
 # --- Koszul strands (any number of variables) --------------------------------
 
 def rank_mod_p(rows, p):

@@ -31,7 +31,6 @@ from carryideals.ideals import (
     decompose,
     ideal_from_labels,
     is_invariant,
-    is_invariant_oracle,
     minimalize,
     product,
 )
@@ -43,7 +42,7 @@ from carryideals.twovars import (
     regularity_formula,
     syzygy_degrees,
 )
-from oracles import compositions, oracle_patterns
+from oracles import compositions, is_invariant_oracle, oracle_patterns
 
 
 @contextmanager
@@ -306,7 +305,7 @@ def test_criterion_11_invariance():
         for p, expected in ((2, False), (3, True), (5, False)):
             ideal = MonomialIdeal(quartic, 2, p)
             assert is_invariant(ideal) is expected
-            assert is_invariant_oracle(ideal) is expected
+            assert is_invariant_oracle(quartic, 2, p) is expected
         # exhaustive sweep: every ideal spanned by at most three orbits of
         # monomials of degree at most 12; combos whose minimal generators
         # already arise from fewer orbits dedupe to their canonical form
@@ -327,7 +326,7 @@ def test_criterion_11_invariance():
                     seen.add(key)
                     for p in (2, 3):
                         ideal = MonomialIdeal(key, n, p)
-                        assert is_invariant(ideal) == is_invariant_oracle(ideal)
+                        assert is_invariant(ideal) == is_invariant_oracle(key, n, p)
         # products of invariant ideals stay invariant
         rng = random.Random(7)
         for _ in range(25):

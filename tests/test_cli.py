@@ -105,6 +105,31 @@ def test_betti_both_agree(capsys):
     assert "[formula]" in out and "[koszul]" in out
 
 
+@pytest.mark.parametrize("max_degree, entries", [
+    (3, [[0, 0, 1]]),
+    (25, [[0, 0, 1], [1, 25, 6]]),
+    (30, [[0, 0, 1], [1, 25, 6], [2, 30, 5]]),
+])
+def test_betti_both_truncated(capsys, max_degree, entries):
+    code, out, err = run(
+        capsys, "betti", "--label", "n=2 p=5 d=25 c=(0,1)", "--both",
+        "--max-degree", str(max_degree), "--json",
+    )
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["formula"]["entries"] == entries
+    assert data["koszul"]["entries"] == entries
+
+
+def test_betti_negative_max_degree(capsys):
+    code, out, err = run(
+        capsys, "betti", "--label", "n=2 p=5 d=25 c=(0,1)", "--koszul",
+        "--max-degree", "-5",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--max-degree" in err
+
+
 def test_betti_koszul_file(tmp_path, capsys):
     path = tmp_path / "quartic.txt"
     path.write_text(
@@ -154,6 +179,12 @@ def test_purity(capsys):
     assert code == 0 and out.strip() == "not pure"
 
 
+def test_purity_needs_input(capsys):
+    code, out, err = run(capsys, "purity")
+    assert code == 2 and out == ""
+    assert err == "error: give a --label or an ideal file\n"
+
+
 def test_torclass(capsys):
     code, out, _ = run(
         capsys, "torclass", "--label", "p=2 d=5 c=(0,0)", "-i", "2", "-j", "6"
@@ -197,6 +228,10 @@ def test_malformed_ideal_header(capsys, monkeypatch, text, field):
         (["compose", "-n", "2", "-p", "3", "-l", "c=(0)"], "d="),
         (["contains", "-n", "2", "-p", "2", "--outer", "d=1", "--inner", "d=2 c=(1)"], "c="),
         (["contains", "-n", "2", "-p", "2", "--outer", "d=1 c=()", "--inner", "c=(1)"], "d="),
+        (["generators", "--label", "n=2 d=25 c=(0,1)"], "p="),
+        (["generators", "--label", "n=2 p=5 d=25"], "c="),
+        (["betti", "--label", "d=25 c=(0,1)"], "p="),
+        (["betti", "--label", "p=5 d=25"], "c="),
     ],
 )
 def test_malformed_label_argument(capsys, argv, field):

@@ -1,15 +1,17 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
-from carryideals.carry import Context, enumerate_patterns, max_pattern
+from carryideals.carry import Context, enumerate_patterns, leq, max_pattern
 from carryideals.ideals import (
     MonomialIdeal,
     _fibers,
     NotInvariantError,
     carry_ideal,
     decompose,
+    degree_pieces,
     frobenius_label,
     frobenius_power,
     ideal_from_json,
@@ -19,14 +21,19 @@ from carryideals.ideals import (
     ideal_to_text,
     invariance_witness,
     is_invariant,
-    is_invariant_oracle,
     labels_from_text,
     labels_to_text,
     minimalize,
     power,
     product,
 )
-from oracles import compositions, divides, oracle_carry
+from oracles import (
+    compositions,
+    divides,
+    is_invariant_oracle,
+    oracle_carry,
+    oracle_decompose,
+)
 
 SIX_GENS = [(8, 0), (7, 3), (5, 4), (4, 5), (3, 7), (0, 8)]
 SIX_LABELS = [((0, 0, 0), 8), ((0, 0, 1), 9), ((1, 1, 1), 10)]
@@ -176,6 +183,70 @@ def test_decompose_round_trip_random():
                 assert ideal_from_labels(rest, n, p) != ideal
 
 
+# highest base degree per number of variables, for the composition scans of
+# oracle_decompose
+ORACLE_DEGREE_CAP = {1: 40, 2: 24, 3: 12, 4: 8}
+
+
+def _label_sum(rng, n, p, dmax):
+    """A sum of 1-4 carry ideals in consecutive degrees. Lower degrees take
+    patterns from lower in the lattice (ranked by entry sum), so that the
+    higher summands often survive in the decomposition."""
+    base = rng.randint(1, dmax)
+    k = rng.randint(1, 4)
+    labels = []
+    for step in range(k):
+        d = base + step
+        pats = sorted(enumerate_patterns(Context(n, p, d)), key=sum)
+        lo = len(pats) * step // k
+        hi = max(lo + 1, len(pats) * (step + 1) // k)
+        labels.append((rng.choice(pats[lo:hi]), d))
+    return ideal_from_labels(labels, n, p)
+
+
+def _antichain_sums(rng, n, p, dmax):
+    """Sums of two incomparable carry ideals of one degree, with a third
+    label of the same or the next degree half the time."""
+    pairs = [
+        (d, a, b)
+        for d in range(1, dmax + 1)
+        for a, b in combinations(enumerate_patterns(Context(n, p, d)), 2)
+        if not leq(a, b) and not leq(b, a)
+    ]
+    for d, a, b in rng.sample(pairs, min(3, len(pairs))):
+        labels = [(a, d), (b, d)]
+        if rng.random() < 0.5:
+            e = d + rng.randint(0, 1)
+            labels.append((rng.choice(enumerate_patterns(Context(n, p, e))), e))
+        yield ideal_from_labels(labels, n, p)
+
+
+def test_decompose_matches_oracle():
+    rng = random.Random(4029)
+    outputs = []
+    for n in (1, 2, 3, 4):
+        cap = ORACLE_DEGREE_CAP[n]
+        for p in (2, 3, 5):
+            ideals = [_label_sum(rng, n, p, cap) for _ in range(20)]
+            ideals += [
+                product(_label_sum(rng, n, p, cap // 2), _label_sum(rng, n, p, cap // 2))
+                for _ in range(5)
+            ]
+            ideals += [
+                frobenius_power(_label_sum(rng, n, p, max(1, cap // p)), 1)
+                for _ in range(5)
+            ]
+            ideals += _antichain_sums(rng, n, p, 2 * cap if n < 4 else 14)
+            for ideal in ideals:
+                want = oracle_decompose(ideal.generators, n, p)
+                assert decompose(ideal) == want, (ideal, want)
+                outputs.append(want)
+    # the sweep must reach sums that need several labels, some of them in
+    # one degree
+    assert sum(len(out) > 1 for out in outputs) >= len(outputs) // 5
+    assert sum(len({d for _, d in out}) < len(out) for out in outputs) >= 10
+
+
 def test_decompose_rejects_non_invariant():
     with pytest.raises(NotInvariantError) as info:
         decompose(MonomialIdeal([(1, 1)], 2, 2))
@@ -235,7 +306,9 @@ def test_oracle_agreement_small():
             continue
         fixtures.append(MonomialIdeal(sorted(gens), n, p))
     for ideal in fixtures:
-        assert is_invariant(ideal) == is_invariant_oracle(ideal)
+        assert is_invariant(ideal) == is_invariant_oracle(
+            ideal.generators, ideal.n, ideal.p
+        )
 
 
 def test_products_and_powers():
@@ -291,7 +364,7 @@ def test_saturation_properties():
             pure = tuple(d1 if k == i else 0 for k in range(n))
             assert ideal.contains_monomial(pure)
         full = n * d1
-        piece = ideal.degree_piece(full)
+        piece = degree_pieces(ideal, full)[full]
         assert len(piece) == len(list(compositions(full, n)))
 
 

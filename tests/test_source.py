@@ -35,6 +35,29 @@ def test_no_assert_in_library():
     assert not found, found
 
 
+def test_no_unused_imports():
+    # a deleted route must take its imports with it; __init__.py imports in
+    # order to re-export, so it is exempt
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert not found, found
+
+
 def test_no_unbounded_cache():
     # every cache needs an explicit finite maxsize: an unbounded one grows for
     # the life of the process
