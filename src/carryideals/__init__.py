@@ -45,7 +45,13 @@ from .ideals import (
     power,
     product,
 )
-from .koszul import koszul_betti, projective_dimension, regularity, top_corner
+from .koszul import (
+    koszul_betti,
+    projective_dimension,
+    quotient_basis,
+    regularity,
+    top_corner,
+)
 from .multmap import carry_after_multiply, contains, first_slack_column, successor
 from .twovars import (
     betti_formula,
@@ -56,7 +62,6 @@ from .twovars import (
     pure_power_certificate,
     regularity_formula,
     segmentation,
-    two_var_patterns,
 )
 
 __version__ = "0.1.0"

@@ -67,7 +67,3 @@ class BettiTable:
             "n": self.n,
             "entries": [[i, j, v] for (i, j), v in sorted(self.entries.items())],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls({(i, j): v for i, j, v in obj["entries"]}, obj["n"])

@@ -17,7 +17,7 @@ grows with the size of the basis, not with the number of degree-d monomials.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 from .basep import check_prime, digit_at, expand, pattern_length
@@ -38,12 +38,18 @@ class Context:
         if not isinstance(self.d, int) or self.d < 0:
             raise ValueError(f"degree must be nonnegative, got d={self.d}")
 
-    @property
+    # cached_property stores into the instance dict, which a frozen
+    # dataclass allows; equality and hashing still see only n, p and d
+    @cached_property
+    def _digits(self):
+        return expand(self.d, self.p)
+
+    @cached_property
     def length(self):
-        return pattern_length(self.d, self.p)
+        return max(len(self._digits) - 1, 0)
 
     def digits(self):
-        return expand(self.d, self.p)
+        return self._digits
 
 
 def carry_pattern(exponents, p):

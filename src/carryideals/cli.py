@@ -1,19 +1,19 @@
 """Command-line interface.
 
 Subcommands: enumerate, carry, decompose, compose, generators, betti, reg,
-contains, invariant, purity, torclass, verify-fixtures. Ideal files use the
-line-oriented text format (header "ring n=<n> p=<p>", one generator per line);
-labels are inline strings like "n=2 p=5 d=25 c=(0,1)". Every subcommand that
-produces data accepts --json. Two-variable betti and reg requests use the
-closed formulas unless --koszul asks for the homology computation, which
-handles any number of variables.
+contains, invariant, purity, torclass. Ideal files use the line-oriented
+text format (header "ring n=<n> p=<p>", one generator per line); labels are
+inline strings like "n=2 p=5 d=25 c=(0,1)". Every subcommand accepts --json.
+betti and reg answer a two-variable --label by the closed formulas unless
+--koszul asks for the homology computation, which handles ideal files and
+any number of variables.
 """
 
 import argparse
 import json
 import sys
 
-from . import fixtures, gl2, koszul, multmap, twovars
+from . import gl2, koszul, multmap, twovars
 from .betti import BettiTable
 from .carry import (
     Context,
@@ -271,18 +271,6 @@ def _cmd_torclass(args):
     return 0
 
 
-def _cmd_verify_fixtures(args):
-    results = fixtures.run_fixtures()
-    if args.json:
-        _emit({"results": [{"name": n, "pass": ok} for n, ok in results]})
-    else:
-        for name, ok in results:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        good = sum(ok for _, ok in results)
-        print(f"{good}/{len(results)} fixtures passed")
-    return 0 if all(ok for _, ok in results) else 1
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="carryideals",
@@ -367,10 +355,6 @@ def _build_parser():
     sp.add_argument("-j", type=int, required=True)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_torclass)
-
-    sp = sub.add_parser("verify-fixtures", help="run the built-in example corpus")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_verify_fixtures)
 
     return parser
 

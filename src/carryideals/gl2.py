@@ -22,11 +22,6 @@ def char_from_monomials(monomials):
     return ch
 
 
-def degree_character(e):
-    """Character of the full space of degree-e forms in two variables."""
-    return {(e - k, k): 1 for k in range(e + 1)}
-
-
 def char_sum(a, b, sign=1):
     out = dict(a)
     for w, m in b.items():
@@ -45,18 +40,6 @@ def char_tensor(a, b):
             if out[key] == 0:
                 del out[key]
     return out
-
-
-def char_dim(ch):
-    return sum(ch.values())
-
-
-def simple_dimension(lam, p):
-    a = lam[0] - lam[1]
-    dim = 1
-    for digit in expand(a, p):
-        dim *= digit + 1
-    return dim
 
 
 def simple_character(lam, p):
@@ -98,18 +81,6 @@ def decompose_character(ch, p):
         out[lam] = mult
         ch = char_sum(ch, simple_character(lam, p), sign=-mult)
     return out
-
-
-def rebuild_character(cls, p):
-    ch = {}
-    for lam, mult in cls.items():
-        scaled = {w: mult * m for w, m in simple_character(lam, p).items()}
-        ch = char_sum(ch, scaled)
-    return ch
-
-
-def class_dimension(cls, p):
-    return sum(mult * simple_dimension(lam, p) for lam, mult in cls.items())
 
 
 def quotient_character(ideal, e):
@@ -163,11 +134,6 @@ def tor_class(ideal, i, j):
         )
         return decompose_character(virtual, p)
     raise ValueError("tor classes are available for positions 1 and 2")
-
-
-def weight_screen(ch, bound):
-    """True when no weight of the character has an entry equal to bound."""
-    return all(max(w1, w2) != bound for w1, w2 in ch)
 
 
 def format_class(cls):

@@ -323,12 +323,6 @@ def ideal_to_json(ideal):
     }
 
 
-def ideal_from_json(obj):
-    return MonomialIdeal(
-        [tuple(g) for g in obj["generators"]], int(obj["n"]), int(obj["p"])
-    )
-
-
 def labels_to_text(labels):
     return "\n".join(f"d={d} c={format_pattern(c)}" for c, d in labels) + "\n"
 
@@ -350,7 +344,3 @@ def labels_to_json(labels, n, p):
         "p": p,
         "labels": [{"d": d, "c": list(c)} for c, d in labels],
     }
-
-
-def labels_from_json(obj):
-    return [(tuple(item["c"]), int(item["d"])) for item in obj["labels"]]

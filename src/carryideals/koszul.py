@@ -73,11 +73,6 @@ def quotient_basis(ideal, degree):
     return pieces[degree] if degree < len(pieces) else []
 
 
-def degree_cap(ideal):
-    """Default top internal degree: past saturation plus the homological width."""
-    return ideal.n * ideal.min_degree + ideal.n
-
-
 def regularity(ideal):
     """Largest degree with a surviving monomial in the quotient.
 
@@ -161,18 +156,20 @@ def _block_homology(cells, n, p):
 def koszul_betti(ideal, max_degree=None):
     """Betti table of the quotient, one multidegree block at a time.
 
-    max_degree defaults to a bound safely past the last nonzero entry
-    (n times the least generator degree, plus n); entries in internal
-    degrees above it are left out.
+    Entries in internal degrees above max_degree are left out. Without it
+    the walk covers the whole staircase, and the table ends at internal
+    degree regularity + n: a block in degree j holds a standard monomial of
+    degree at least j - n.
     """
     _check_finite_colength(ideal)
-    if max_degree is None:
-        max_degree = degree_cap(ideal)
     n, p = ideal.n, ideal.p
     pieces = _staircase(ideal, max_degree)
+    top = len(pieces) - 1 + n
+    if max_degree is not None:
+        top = min(top, max_degree)
     subsets = [list(combinations(range(n), i)) for i in range(n + 1)]
     entries = {}
-    for j in range(min(max_degree, len(pieces) - 1 + n) + 1):
+    for j in range(top + 1):
         blocks = {}
         for i in range(max(j - len(pieces) + 1, 0), min(j, n) + 1):
             for m in pieces[j - i]:

@@ -11,37 +11,10 @@ and the regularity drops out of the last syzygy offset.
 
 from dataclasses import dataclass
 
-from .basep import expand, full_run, pattern_length, top_index, value_of
+from .basep import full_run, top_index, value_of
 from .betti import BettiTable
 from .carry import Context, is_valid_pattern
 from .ideals import MonomialIdeal
-
-
-def two_var_patterns(d, p):
-    """The carry patterns of degree-d monomials in two variables.
-
-    Direct construction: entries are 0 or 1, a zero digit of d forces the next
-    entry up, a full digit forces it down. Agrees with the generic lattice
-    enumeration (tested there); this route has no search.
-    """
-    digits = expand(d, p)
-    M = pattern_length(d, p)
-    if M == 0:
-        return [()]
-    prefixes = [()]
-    for i in range(M):
-        di = digits[i] if i < len(digits) else 0
-        out = []
-        for pre in prefixes:
-            prev = pre[-1] if pre else 0
-            for nxt in (0, 1):
-                if di == 0 and nxt < prev:
-                    continue
-                if di == p - 1 and nxt > prev:
-                    continue
-                out.append(pre + (nxt,))
-        prefixes = out
-    return sorted(prefixes)
 
 
 def is_simple_degree(d, p):
@@ -248,11 +221,6 @@ def hilbert_burch(ideal):
         if minor != gens[k]:
             raise RuntimeError(f"maximal minor {k} is {minor}, not {gens[k]}")
     return HilbertBurch(tuple(gens), tuple(cols))
-
-
-def syzygy_degrees(ideal):
-    """Total degrees of the syzygy columns, sorted."""
-    return tuple(sorted(hilbert_burch(ideal).column_degrees()))
 
 
 def pure_power_certificate(ideal):

@@ -3,11 +3,18 @@
 Everything here is deliberately written from the definitions, by a different
 route than the library: carries come from the closed-form prefix identity
 rather than sequential addition, ranks from determinantal minors, and so on.
+`syzygy_degrees` and the two-variable character helpers at the end build on
+library results (the Hilbert-Burch matrix, base-p digits, simple characters)
+to check others.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
+
+from carryideals.basep import expand
+from carryideals.gl2 import char_sum, simple_character
+from carryideals.twovars import hilbert_burch
 
 
 def compositions(d, n):
@@ -41,6 +48,36 @@ def len_pattern(d, p):
 
 def oracle_patterns(d, n, p):
     return {oracle_carry(b, p) for b in compositions(d, n)}
+
+
+def two_var_patterns(d, p):
+    """The carry patterns of degree-d monomials in two variables, sorted.
+
+    Direct construction, with no search: entries are 0 or 1, a zero digit of
+    d forces the next entry up, and a full digit forces it down.
+    """
+    digits = []
+    value = d
+    while value:
+        value, r = divmod(value, p)
+        digits.append(r)
+    length = len_pattern(d, p)
+    if length == 0:
+        return [()]
+    prefixes = [()]
+    for i in range(length):
+        di = digits[i] if i < len(digits) else 0
+        out = []
+        for pre in prefixes:
+            prev = pre[-1] if pre else 0
+            for nxt in (0, 1):
+                if di == 0 and nxt < prev:
+                    continue
+                if di == p - 1 and nxt > prev:
+                    continue
+                out.append(pre + (nxt,))
+        prefixes = out
+    return sorted(prefixes)
 
 
 def oracle_multinomial(top, parts, p):
@@ -139,6 +176,12 @@ def poly_det(matrix):
             term = {m: -c for m, c in term.items()}
         total = poly_add(total, term)
     return total
+
+
+def syzygy_degrees(ideal):
+    """Total degrees of the syzygy columns of the Hilbert-Burch matrix of a
+    two-variable ideal, sorted."""
+    return tuple(sorted(hilbert_burch(ideal).column_degrees()))
 
 
 def divides(a, b):
@@ -274,3 +317,36 @@ def strand_betti(gens, n, p, max_degree):
             if mult:
                 entries[(i, j)] = mult
     return entries
+
+
+# --- two-variable characters --------------------------------------------------
+
+def degree_character(e):
+    """Character of the full space of degree-e forms in two variables."""
+    return {(e - k, k): 1 for k in range(e + 1)}
+
+
+def char_dim(ch):
+    return sum(ch.values())
+
+
+def simple_dimension(lam, p):
+    """Dimension of the simple module of highest weight lam: the product of
+    (digit + 1) over the base-p digits of lam1 - lam2."""
+    dim = 1
+    for digit in expand(lam[0] - lam[1], p):
+        dim *= digit + 1
+    return dim
+
+
+def class_dimension(cls, p):
+    return sum(mult * simple_dimension(lam, p) for lam, mult in cls.items())
+
+
+def rebuild_character(cls, p):
+    """The character of an integer combination of simples."""
+    ch = {}
+    for lam, mult in cls.items():
+        scaled = {w: mult * m for w, m in simple_character(lam, p).items()}
+        ch = char_sum(ch, scaled)
+    return ch

@@ -18,13 +18,7 @@ from carryideals.carry import (
     enumerate_patterns,
     leq,
 )
-from carryideals.gl2 import (
-    class_dimension,
-    decompose_character,
-    degree_character,
-    quotient_character,
-    tor_class,
-)
+from carryideals.gl2 import decompose_character, quotient_character, tor_class
 from carryideals.ideals import (
     MonomialIdeal,
     carry_ideal,
@@ -40,9 +34,15 @@ from carryideals.twovars import (
     betti_formula,
     generators_by_segmentation,
     regularity_formula,
+)
+from oracles import (
+    class_dimension,
+    compositions,
+    degree_character,
+    is_invariant_oracle,
+    oracle_patterns,
     syzygy_degrees,
 )
-from oracles import compositions, is_invariant_oracle, oracle_patterns
 
 
 @contextmanager

@@ -33,6 +33,7 @@ def test_carry_fixtures():
     assert carry_pattern((4, 6), 3) == (0, 1)
     assert carry_pattern((3, 3, 3), 2) == (1, 2, 1)
     assert carry_pattern((7, 2), 2) == (0, 1, 1)
+    assert carry_pattern((62102, 0), 5) == (0,) * 6
     for d in (1, 9, 40):
         assert carry_pattern((d, 0, 0, 0), 5) == (0,) * max(top_index(d, 5), 0)
 

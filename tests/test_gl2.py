@@ -5,23 +5,24 @@ import pytest
 from carryideals.basep import expand
 from carryideals.carry import Context, carry_pattern, enumerate_patterns, leq
 from carryideals.gl2 import (
-    char_dim,
     char_from_monomials,
     char_sum,
-    class_dimension,
     decompose_character,
-    degree_character,
     format_class,
     quotient_character,
-    rebuild_character,
     simple_character,
-    simple_dimension,
     tor_class,
-    weight_screen,
 )
 from carryideals.ideals import MonomialIdeal, carry_ideal
 from carryideals.twovars import betti_formula
-from oracles import compositions
+from oracles import (
+    char_dim,
+    class_dimension,
+    compositions,
+    degree_character,
+    rebuild_character,
+    simple_dimension,
+)
 
 
 def test_simple_character_fixtures():
@@ -107,12 +108,6 @@ def test_tor_dimensions_match_betti():
             cls = tor_class(ideal, 2, j)
             assert class_dimension(cls, p) == table[2, j]
         assert class_dimension(tor_class(ideal, 1, d), p) == table[1, d]
-
-
-def test_weight_screen():
-    ideal = carry_ideal((0, 0), 5, 2, 2)
-    assert weight_screen(quotient_character(ideal, 4), 5)
-    assert not weight_screen(degree_character(5), 5)
 
 
 def test_formatting():

@@ -9,7 +9,6 @@ from carryideals.carry import Context, enumerate_patterns
 from carryideals.ideals import MonomialIdeal, carry_ideal, ideal_from_labels
 from carryideals.koszul import (
     _rank,
-    degree_cap,
     koszul_betti,
     projective_dimension,
     quotient_basis,
@@ -74,7 +73,7 @@ def test_strand_euler_characteristic():
     ideal = carry_ideal((0,), 4, 3, 3)
     n = ideal.n
     table = koszul_betti(ideal)
-    for j in range(degree_cap(ideal) + 1):
+    for j in range(regularity(ideal) + n + 1):
         lhs = sum(
             (-1) ** i * len(quotient_basis(ideal, j - i)) * math.comb(n, i)
             for i in range(n + 1)
@@ -111,7 +110,7 @@ def test_requires_finite_colength():
 
 def _oracle_table(ideal, max_degree=None):
     if max_degree is None:
-        max_degree = degree_cap(ideal)
+        max_degree = regularity(ideal) + ideal.n
     return strand_betti(ideal.generators, ideal.n, ideal.p, max_degree)
 
 
@@ -131,6 +130,16 @@ def _sums_of_carry_ideals(seed, count):
 def test_blocks_match_strand_oracle():
     quartic = carry_ideal((0,), 4, 3, 3)
     assert koszul_betti(quartic).entries == _oracle_table(quartic)
+    # not invariant, and with pure powers far above the least generator
+    # degree: the default table must still reach regularity + n
+    uneven = MonomialIdeal([(10, 0), (1, 1), (0, 10)], 2, 2)
+    assert koszul_betti(uneven).entries == _oracle_table(uneven) == {
+        (0, 0): 1, (1, 2): 1, (1, 10): 2, (2, 11): 2
+    }
+    uneven3 = MonomialIdeal(
+        [(7, 0, 0), (1, 1, 0), (0, 4, 0), (0, 1, 2), (0, 0, 5)], 3, 3
+    )
+    assert koszul_betti(uneven3).entries == _oracle_table(uneven3)
     for max_degree in (-1, 0, 4, 5, 8):
         assert (
             koszul_betti(quartic, max_degree=max_degree).entries
@@ -138,7 +147,7 @@ def test_blocks_match_strand_oracle():
         )
     for rng, ideal in _sums_of_carry_ideals(47, 40):
         assert koszul_betti(ideal).entries == _oracle_table(ideal)
-        cut = rng.randint(0, degree_cap(ideal))
+        cut = rng.randint(0, regularity(ideal) + ideal.n)
         assert (
             koszul_betti(ideal, max_degree=cut).entries
             == _oracle_table(ideal, cut)

@@ -82,3 +82,31 @@ def test_no_unbounded_cache():
             if bad:
                 found.append(f"{name}:{node.lineno} {node.name}")
     assert not found, found
+
+
+def test_no_test_only_library_code():
+    # a public function or class that no library module refers to and the
+    # package does not export serves only the tests: it belongs in
+    # tests/oracles.py, or nowhere
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    referenced = {
+        _name(node) for tree in trees.values() for node in ast.walk(tree)
+    }
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced | exported
+    ]
+    assert not found, found

@@ -13,11 +13,9 @@ from carryideals.twovars import (
     pure_power_certificate,
     regularity_formula,
     segmentation,
-    syzygy_degrees,
     syzygy_offsets,
-    two_var_patterns,
 )
-from oracles import poly_det, poly_mul
+from oracles import poly_det, poly_mul, syzygy_degrees, two_var_patterns
 
 BIG = ((1, 1, 0, 1, 0, 0), 62102, 5)
 SMALL = ((1, 0, 1), 30, 3)
