@@ -47,6 +47,7 @@ from .ideals import (
 )
 from .koszul import (
     koszul_betti,
+    multigraded_betti,
     projective_dimension,
     quotient_basis,
     regularity,

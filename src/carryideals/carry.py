@@ -94,23 +94,17 @@ def column_sums(c, ctx):
 
 
 def is_valid_pattern(c, ctx):
-    """Whether the tuple is the carry pattern of some degree-d monomial."""
+    """Whether the tuple is the carry pattern of some degree-d monomial.
+
+    Exactly when every column sum lies in [0, n(p-1)]: then each sum splits
+    into n digits, and the monomial with those digits carries c, so c >= 0
+    and the caps by the higher digits of d follow.
+    """
     c = tuple(c)
-    if len(c) != ctx.length:
+    if len(c) != ctx.length or any(not isinstance(x, int) for x in c):
         return False
-    if any(not isinstance(x, int) or x < 0 for x in c):
-        return False
-    digits = ctx.digits()
     bound = ctx.n * (ctx.p - 1)
-    for s in column_sums(c, ctx):
-        if not 0 <= s <= bound:
-            return False
-    # entrywise cap by the value of the remaining digits
-    for i in range(1, ctx.length + 1):
-        cap = sum(digits[j] * ctx.p ** (j - i) for j in range(i, len(digits)))
-        if c[i - 1] > cap:
-            return False
-    return True
+    return all(0 <= s <= bound for s in column_sums(c, ctx))
 
 
 @lru_cache(maxsize=256)

@@ -9,17 +9,17 @@ dimension is the product of (digit + 1). Decomposition into simples peels
 greedily at the lexicographically maximal surviving weight, which is the
 highest weight of a composition factor for every genuine subquotient of a
 space of forms.
+
+The quotient by an invariant ideal is a representation, and so is each of
+its Tor spaces. The torus character of Tor_{i,j} is read off the
+multigraded Betti numbers of the Koszul blocks (see koszul), so one
+decomposition gives its class in every position i and for ideals generated
+in any degrees.
 """
 
 from .basep import check_prime, expand
-
-
-def char_from_monomials(monomials):
-    ch = {}
-    for m in monomials:
-        key = tuple(m)
-        ch[key] = ch.get(key, 0) + 1
-    return ch
+from .ideals import NotInvariantError, invariance_witness
+from .koszul import multigraded_betti
 
 
 def char_sum(a, b, sign=1):
@@ -83,57 +83,21 @@ def decompose_character(ch, p):
     return out
 
 
-def quotient_character(ideal, e):
-    """Character of the degree-e piece of the quotient ring."""
-    if ideal.n != 2:
-        raise ValueError("quotient characters are for two-variable ideals")
-    if e < 0:
-        return {}
-    return char_from_monomials(
-        m for m in ((a, e - a) for a in range(e + 1))
-        if not ideal.contains_monomial(m)
-    )
-
-
-def generator_character(ideal):
-    degrees = {sum(g) for g in ideal.generators}
-    if len(degrees) != 1:
-        raise ValueError("generators span several degrees")
-    return char_from_monomials(ideal.generators)
-
-
 def tor_class(ideal, i, j):
-    """Grothendieck class of the Tor space in position i, internal degree j.
+    """Grothendieck class of the Tor space in position i, internal degree j,
+    of the quotient by an invariant two-variable ideal.
 
-    Needs generation in a single degree d, which makes the table one entry
-    per diagonal: position 1 is the class of the generating subspace, and
-    position 2 is the alternating strand combination
-    [(S/I)_{j-2} (x) wedge^2] - [(S/I)_{j-1} (x) std] + [(S/I)_j].
+    Tor_{i,j} is a representation whose torus character is the sum of the
+    multigraded Betti numbers beta_{i,a} x^a over the multidegrees a of
+    degree j; the class is the decomposition of that character.
     """
     if ideal.n != 2:
         raise ValueError("tor classes are computed for two variables only")
-    degrees = {sum(g) for g in ideal.generators}
-    if len(degrees) != 1:
-        raise ValueError("tor classes need an ideal generated in one degree")
-    d = degrees.pop()
-    p = ideal.p
-    if i == 1:
-        if j != d:
-            return {}
-        return decompose_character(generator_character(ideal), p)
-    if i == 2:
-        wedge = {(1, 1): 1}
-        std = {(1, 0): 1, (0, 1): 1}
-        virtual = char_sum(
-            char_sum(
-                char_tensor(quotient_character(ideal, j - 2), wedge),
-                char_tensor(quotient_character(ideal, j - 1), std),
-                sign=-1,
-            ),
-            quotient_character(ideal, j),
-        )
-        return decompose_character(virtual, p)
-    raise ValueError("tor classes are available for positions 1 and 2")
+    witness = invariance_witness(ideal)
+    if witness is not None:
+        raise NotInvariantError(*witness)
+    entries = multigraded_betti(ideal, j)
+    return decompose_character({a: v for (k, a), v in entries.items() if k == i}, ideal.p)
 
 
 def format_class(cls):

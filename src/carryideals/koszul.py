@@ -1,15 +1,21 @@
-"""Graded Betti numbers over F_p for any number of variables.
+"""Graded and multigraded Betti numbers over F_p for any number of variables.
 
-For a finite-colength monomial ideal I the Tor spaces of S/I against the
-residue field are the homology of the Koszul complex of S/I. Its cells are
-pairs (m, S) of a standard monomial x^m (one outside I) and a subset S of
-the variables, in homological position |S|; the differential contracts one
-variable of S onto the monomial with alternating signs, dropping targets
-absorbed by I. The complex is graded by N^n, with (m, S) in multidegree
-a = m + 1_S, so it splits into blocks of at most 2^n cells
-(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34). Each
-block contributes its homology to the Betti number in degree |a|, and the
-ranks come from a small elimination over F_p.
+For a monomial ideal I the Tor spaces of S/I against the residue field are
+the homology of the Koszul complex of S/I. Its cells are pairs (m, S) of a
+standard monomial x^m (one outside I) and a subset S of the variables, in
+homological position |S|; the differential contracts one variable of S onto
+the monomial with alternating signs, dropping targets absorbed by I. The
+complex is graded by N^n, with (m, S) in multidegree a = m + 1_S, so it
+splits into blocks of at most 2^n cells whose homology is the multigraded
+Betti number beta_{i,a} (Miller-Sturmfels, Combinatorial Commutative
+Algebra, Thm 1.34). The ranks come from a small elimination over F_p.
+
+Only blocks with x^a in I are reduced. If x^a is standard then so is every
+x^(a - 1_S), because the standard set is closed under division, so the
+block is the full simplex on the support of a: acyclic unless a = 0, where
+beta_{0,0} = 1. The graded Betti number beta_{i,j} is the sum of beta_{i,a}
+over |a| = j, and the torus character of Tor_{i,j} is the sum of
+beta_{i,a} x^a.
 
 Standard monomials come from one staircase walk, degree by degree: x^m is
 standard exactly when it is not a minimal generator and every x^(m - e_k)
@@ -47,14 +53,17 @@ def _staircase(ideal, top=None):
     pieces = [prev]
     degree = 0
     while top is None or degree < top:
-        below = set(prev)
-        piece = []
-        for m in {u[:k] + (u[k] + 1,) + u[k + 1 :] for u in prev for k in range(n)}:
-            if m not in generators and all(
-                m[k] == 0 or m[:k] + (m[k] - 1,) + m[k + 1 :] in below
-                for k in range(n)
-            ):
-                piece.append(m)
+        # x^m arises once from each standard x^(m - e_k), so every
+        # x^(m - e_k) is standard exactly when the count is the support size
+        arises = {}
+        for u in prev:
+            for k in range(n):
+                m = u[:k] + (u[k] + 1,) + u[k + 1 :]
+                arises[m] = arises.get(m, 0) + 1
+        piece = [
+            m for m, count in arises.items()
+            if count == n - m.count(0) and m not in generators
+        ]
         if not piece:
             break
         piece.sort(reverse=True)
@@ -153,8 +162,46 @@ def _block_homology(cells, n, p):
     return homology
 
 
+def _degree_betti(pieces, j, n, p):
+    """beta_{i,a} as {(i, a): multiplicity} over the multidegrees a of
+    degree j, from the standard monomials by degree. pieces must reach
+    degree j or end the staircase."""
+    if j == 0:
+        return {(0, (0,) * n): 1}
+    standard = set(pieces[j]) if j < len(pieces) else set()
+    blocks = {}
+    for i in range(max(j - len(pieces) + 1, 1), min(j, n) + 1):
+        subsets = list(combinations(range(n), i))
+        for m in pieces[j - i]:
+            for S in subsets:
+                a = list(m)
+                for k in S:
+                    a[k] += 1
+                a = tuple(a)
+                if a not in standard:
+                    blocks.setdefault(a, []).append(S)
+    entries = {}
+    for a, cells in blocks.items():
+        homology = _block_homology(cells, n, p)
+        # the quotient is generated by 1, so H_0 is k in multidegree 0 only
+        if homology.get(0, 0):
+            raise RuntimeError(f"Koszul block {a} has {homology[0]}-dimensional H_0")
+        for i, mult in homology.items():
+            entries[(i, a)] = mult
+    return entries
+
+
+def multigraded_betti(ideal, j):
+    """Multigraded Betti numbers {(i, a): beta_{i,a}} of the quotient over
+    the multidegrees a of degree j."""
+    if j < 0:
+        return {}
+    return _degree_betti(_staircase(ideal, j), j, ideal.n, ideal.p)
+
+
 def koszul_betti(ideal, max_degree=None):
-    """Betti table of the quotient, one multidegree block at a time.
+    """Betti table of the quotient: beta_{i,j} is the sum of beta_{i,a}
+    over the multidegrees a of degree j.
 
     Entries in internal degrees above max_degree are left out. Without it
     the walk covers the whole staircase, and the table ends at internal
@@ -167,24 +214,8 @@ def koszul_betti(ideal, max_degree=None):
     top = len(pieces) - 1 + n
     if max_degree is not None:
         top = min(top, max_degree)
-    subsets = [list(combinations(range(n), i)) for i in range(n + 1)]
     entries = {}
     for j in range(top + 1):
-        blocks = {}
-        for i in range(max(j - len(pieces) + 1, 0), min(j, n) + 1):
-            for m in pieces[j - i]:
-                for S in subsets[i]:
-                    a = list(m)
-                    for k in S:
-                        a[k] += 1
-                    blocks.setdefault(tuple(a), []).append(S)
-        for a, cells in blocks.items():
-            homology = _block_homology(cells, n, p)
-            # the quotient is generated by 1, so H_0 is k in multidegree 0 only
-            if homology.get(0, 0) != (1 if j == 0 else 0):
-                raise RuntimeError(
-                    f"Koszul block {a} has {homology.get(0, 0)}-dimensional H_0"
-                )
-            for i, mult in homology.items():
-                entries[(i, j)] = entries.get((i, j), 0) + mult
+        for (i, _), mult in _degree_betti(pieces, j, n, p).items():
+            entries[(i, j)] = entries.get((i, j), 0) + mult
     return BettiTable(entries, n)

@@ -11,7 +11,7 @@ exponent can be full, so the slack statistic is undefined, and k[x] has only
 the ideals <x^d>, all invariant, handled by the ideal module directly.
 """
 
-from .basep import full_run, pattern_length
+from .basep import full_run
 from .carry import Context, carry_pattern, column_sums, is_valid_pattern, leq, max_pattern
 
 # loop guard for iterated successor; saturation occurs far earlier in practice
@@ -40,17 +40,15 @@ def first_slack_column(c, ctx):
     raise RuntimeError("every column full; impossible for n >= 2")
 
 
-def _shift(c, d, p, plus_run, minus_run):
+def _shift(c, M, target, plus_run, minus_run):
     # (c_1..c_M, 0) + 1^plus_run - 1^minus_run, renormalized to the pattern
-    # length at degree d+1; a surplus trailing entry is provably zero.
-    M = pattern_length(d, p)
+    # length target at degree d+1; a surplus trailing entry is provably zero.
     vec = [
         (c[k - 1] if k <= M else 0)
         + (1 if k <= plus_run else 0)
         - (1 if k <= minus_run else 0)
         for k in range(1, M + 2)
     ]
-    target = pattern_length(d + 1, p)
     if len(vec) == target + 1:
         if vec[-1] != 0:
             raise RuntimeError(f"surplus trailing carry in {vec}")
@@ -66,12 +64,14 @@ def carry_after_multiply(exponents, index, p):
     the chosen exponent.
     """
     exponents = tuple(exponents)
-    _check_multivariate(len(exponents))
-    if not 0 <= index < len(exponents):
+    n = len(exponents)
+    _check_multivariate(n)
+    if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range")
     d = sum(exponents)
     c = carry_pattern(exponents, p)
-    return _shift(c, d, p, full_run(d, p), full_run(exponents[index], p))
+    M, target = Context(n, p, d).length, Context(n, p, d + 1).length
+    return _shift(c, M, target, full_run(d, p), full_run(exponents[index], p))
 
 
 def successor(c, ctx):
@@ -83,8 +83,8 @@ def successor(c, ctx):
     """
     _check_multivariate(ctx.n)
     sh = first_slack_column(c, ctx)
-    nxt = _shift(c, ctx.d, ctx.p, full_run(ctx.d, ctx.p), sh)
     up = Context(ctx.n, ctx.p, ctx.d + 1)
+    nxt = _shift(c, ctx.length, up.length, full_run(ctx.d, ctx.p), sh)
     if not is_valid_pattern(nxt, up):
         raise RuntimeError(f"successor built {nxt}, not a pattern for {up}")
     return nxt

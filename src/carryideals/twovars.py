@@ -45,6 +45,8 @@ class Segmentation:
 
 
 def segmentation(c, d, p):
+    if d < 1:
+        raise ValueError("carry ideals are generated in positive degree")
     c = tuple(c)
     ctx = Context(2, p, d)
     if not is_valid_pattern(c, ctx):

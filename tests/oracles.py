@@ -4,8 +4,8 @@ Everything here is deliberately written from the definitions, by a different
 route than the library: carries come from the closed-form prefix identity
 rather than sequential addition, ranks from determinantal minors, and so on.
 `syzygy_degrees` and the two-variable character helpers at the end build on
-library results (the Hilbert-Burch matrix, base-p digits, simple characters)
-to check others.
+library results (the Hilbert-Burch matrix, base-p digits, simple characters
+and their decomposition) to check others.
 """
 
 import math
@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from carryideals.basep import expand
-from carryideals.gl2 import char_sum, simple_character
+from carryideals.gl2 import char_sum, char_tensor, decompose_character, simple_character
 from carryideals.twovars import hilbert_burch
 
 
@@ -319,6 +319,35 @@ def strand_betti(gens, n, p, max_degree):
     return entries
 
 
+def block_betti(gens, n, p, a):
+    """Homology {i: dimension} of the Koszul complex of S/I in multidegree a.
+
+    Its cells in position i are the i-subsets S of the support of a with
+    x^(a - 1_S) outside the ideal, tested by divisibility; the differential
+    drops the t-th variable of S with sign (-1)^t.
+    """
+    support = [k for k in range(n) if a[k]]
+    cells = [
+        [S for S in combinations(support, i)
+         if not in_ideal(gens, [x - (k in S) for k, x in enumerate(a)])]
+        for i in range(n + 1)
+    ]
+    ranks = [0] * (n + 2)
+    for i in range(1, n + 1):
+        index = {T: r for r, T in enumerate(cells[i - 1])}
+        rows = []
+        for S in cells[i]:
+            row = [0] * len(index)
+            for t in range(i):
+                r = index.get(S[:t] + S[t + 1:])
+                if r is not None:
+                    row[r] = -1 if t % 2 else 1
+            rows.append(row)
+        ranks[i] = rank_mod_p(rows, p)
+    homology = {i: len(cells[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1)}
+    return {i: mult for i, mult in homology.items() if mult}
+
+
 # --- two-variable characters --------------------------------------------------
 
 def degree_character(e):
@@ -350,3 +379,51 @@ def rebuild_character(cls, p):
         scaled = {w: mult * m for w, m in simple_character(lam, p).items()}
         ch = char_sum(ch, scaled)
     return ch
+
+
+def char_from_monomials(monomials):
+    ch = {}
+    for m in monomials:
+        key = tuple(m)
+        ch[key] = ch.get(key, 0) + 1
+    return ch
+
+
+def quotient_character(ideal, e):
+    """Character of the degree-e piece of the quotient ring (two variables)."""
+    if e < 0:
+        return {}
+    return char_from_monomials(
+        m for m in ((a, e - a) for a in range(e + 1))
+        if not ideal.contains_monomial(m)
+    )
+
+
+def strand_tor_class(ideal, i, j):
+    """Grothendieck class of Tor_{i,j} for a two-variable ideal generated in
+    a single degree d, from quotient characters in one strand.
+
+    Generation in one degree makes the table one entry per diagonal:
+    position 1 is the class of the generating subspace, and position 2 is
+    the alternating strand combination
+    [(S/I)_{j-2} (x) wedge^2] - [(S/I)_{j-1} (x) std] + [(S/I)_j].
+    """
+    (d,) = {sum(g) for g in ideal.generators}
+    p = ideal.p
+    if i == 1:
+        if j != d:
+            return {}
+        return decompose_character(char_from_monomials(ideal.generators), p)
+    if i != 2:
+        raise ValueError("the strand formula covers positions 1 and 2")
+    wedge = {(1, 1): 1}
+    std = {(1, 0): 1, (0, 1): 1}
+    virtual = char_sum(
+        char_sum(
+            char_tensor(quotient_character(ideal, j - 2), wedge),
+            char_tensor(quotient_character(ideal, j - 1), std),
+            sign=-1,
+        ),
+        quotient_character(ideal, j),
+    )
+    return decompose_character(virtual, p)

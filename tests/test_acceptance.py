@@ -18,7 +18,7 @@ from carryideals.carry import (
     enumerate_patterns,
     leq,
 )
-from carryideals.gl2 import decompose_character, quotient_character, tor_class
+from carryideals.gl2 import decompose_character, tor_class
 from carryideals.ideals import (
     MonomialIdeal,
     carry_ideal,
@@ -41,6 +41,7 @@ from oracles import (
     degree_character,
     is_invariant_oracle,
     oracle_patterns,
+    quotient_character,
     syzygy_degrees,
 )
 

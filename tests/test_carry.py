@@ -1,3 +1,4 @@
+from itertools import product
 from operator import le
 
 import pytest
@@ -83,6 +84,19 @@ def test_validity_fixtures():
     # the column-0 inequality matters: without it this would pass
     assert not is_valid_pattern((2, 1), Context(2, 3, 9))
     assert not is_valid_pattern((0, 0), ten)  # wrong length
+
+
+def test_validity_is_membership_in_box():
+    # every tuple with entries in [-1, n], negative and over-cap ones included,
+    # of the right length and one shorter or longer
+    for n in (1, 2, 3, 4):
+        for p in (2, 3, 5, 7):
+            for d in range(30 if n < 4 else 16):
+                ctx = Context(n, p, d)
+                patterns = oracle_patterns(d, n, p)
+                for length in range(max(ctx.length - 1, 0), ctx.length + 2):
+                    for c in product(range(-1, n + 1), repeat=length):
+                        assert is_valid_pattern(c, ctx) == (c in patterns)
 
 
 def _pairs(ctx):

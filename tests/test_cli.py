@@ -213,6 +213,24 @@ def test_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti"],
+        ["reg"],
+        ["reg", "--koszul"],
+        ["generators"],
+        ["purity"],
+        ["torclass", "-i", "1", "-j", "0"],
+    ],
+)
+def test_degree_zero_label(capsys, argv):
+    # the unit ideal has no carry-ideal label, whichever route answers
+    code, out, err = run(capsys, *argv, "--label", "p=2 d=0 c=()")
+    assert code == 2 and out == ""
+    assert err == "error: carry ideals are generated in positive degree\n"
+
+
+@pytest.mark.parametrize(
     "text, field",
     [("ring n=2\n1 1\n", "p="), ("ring p=3\n1 1\n", "n=")],
 )

@@ -5,23 +5,25 @@ import pytest
 from carryideals.basep import expand
 from carryideals.carry import Context, carry_pattern, enumerate_patterns, leq
 from carryideals.gl2 import (
-    char_from_monomials,
     char_sum,
     decompose_character,
     format_class,
-    quotient_character,
     simple_character,
     tor_class,
 )
-from carryideals.ideals import MonomialIdeal, carry_ideal
+from carryideals.ideals import MonomialIdeal, NotInvariantError, carry_ideal, ideal_from_labels
+from carryideals.koszul import koszul_betti, regularity
 from carryideals.twovars import betti_formula
 from oracles import (
     char_dim,
+    char_from_monomials,
     class_dimension,
     compositions,
     degree_character,
+    quotient_character,
     rebuild_character,
     simple_dimension,
+    strand_tor_class,
 )
 
 
@@ -110,6 +112,48 @@ def test_tor_dimensions_match_betti():
         assert class_dimension(tor_class(ideal, 1, d), p) == table[1, d]
 
 
+def test_tor_class_matches_strand_oracle():
+    # every nonzero entry in positions 1 and 2 of every two-variable carry
+    # ideal of degree below 40
+    checked = 0
+    for p in (2, 3, 5):
+        for d in range(1, 40):
+            for c in enumerate_patterns(Context(2, p, d)):
+                ideal = carry_ideal(c, d, 2, p)
+                for i, j in betti_formula(c, d, p).entries:
+                    if i in (1, 2):
+                        assert tor_class(ideal, i, j) == strand_tor_class(ideal, i, j)
+                        checked += 1
+    assert checked == 1016
+
+
+def _sums_in_several_degrees(seed, count):
+    """Seeded sums of two or three two-variable carry ideals whose minimal
+    generators span several degrees, with the first one found by hand."""
+    yield ideal_from_labels([((0, 0), 10), ((1, 1), 13)], 2, 3)
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        p = rng.choice((2, 3, 5))
+        degrees = rng.sample(range(2, 25), rng.randint(2, 3))
+        labels = [(rng.choice(enumerate_patterns(Context(2, p, d))), d) for d in degrees]
+        ideal = ideal_from_labels(labels, 2, p)
+        if len({sum(g) for g in ideal.generators}) > 1:
+            found += 1
+            yield ideal
+
+
+def test_tor_dimensions_match_koszul_in_several_degrees():
+    # ideals outside the reach of the strand formula
+    for ideal in _sums_in_several_degrees(41, 12):
+        table = koszul_betti(ideal)
+        for i in range(3):
+            for j in range(regularity(ideal) + 3):
+                cls = tor_class(ideal, i, j)
+                assert all(mult > 0 for mult in cls.values())
+                assert class_dimension(cls, ideal.p) == table[i, j]
+
+
 def test_formatting():
     assert format_class({(5, 1): 1, (4, 4): 1}) == "1*L(5,1) + 1*L(4,4)"
     assert format_class({}) == "0"
@@ -122,10 +166,10 @@ def test_malformed_inputs():
         simple_character((3, -1), 3)
     with pytest.raises(ValueError):
         decompose_character({(0, 1): 1}, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotInvariantError):
         tor_class(MonomialIdeal([(2, 0), (0, 3)], 2, 2), 2, 4)
-    with pytest.raises(ValueError):
-        tor_class(carry_ideal((0, 0), 5, 2, 2), 3, 6)
+    # Tor_3 vanishes in two variables
+    assert tor_class(carry_ideal((0, 0), 5, 2, 2), 3, 6) == {}
     with pytest.raises(ValueError):
         tor_class(MonomialIdeal([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 2), 2, 2)
 

@@ -10,13 +10,14 @@ from carryideals.ideals import MonomialIdeal, carry_ideal, ideal_from_labels
 from carryideals.koszul import (
     _rank,
     koszul_betti,
+    multigraded_betti,
     projective_dimension,
     quotient_basis,
     regularity,
     top_corner,
 )
 from carryideals.twovars import betti_formula
-from oracles import compositions, minor_rank, rank_mod_p, strand_betti
+from oracles import block_betti, compositions, minor_rank, rank_mod_p, strand_betti
 
 QUARTIC_TABLE = {
     (0, 0): 1,
@@ -152,6 +153,29 @@ def test_blocks_match_strand_oracle():
             koszul_betti(ideal, max_degree=cut).entries
             == _oracle_table(ideal, cut)
         )
+
+
+def test_multigraded_entries_match_block_oracle():
+    # (x^2, xy) has infinite colength; its Tor spaces are still finite
+    corner = MonomialIdeal([(2, 0), (1, 1)], 2, 3)
+    assert multigraded_betti(corner, -1) == {}
+    assert multigraded_betti(corner, 0) == {(0, (0, 0)): 1}
+    assert multigraded_betti(corner, 2) == {(1, (2, 0)): 1, (1, (1, 1)): 1}
+    assert multigraded_betti(corner, 3) == {(2, (2, 1)): 1}
+    assert multigraded_betti(corner, 4) == {}
+    for _, ideal in _sums_of_carry_ideals(59, 15):
+        n = ideal.n
+        graded = {}
+        for j in range(regularity(ideal) + n + 2):
+            entries = multigraded_betti(ideal, j)
+            assert entries == {
+                (i, a): mult
+                for a in compositions(j, n)
+                for i, mult in block_betti(ideal.generators, n, ideal.p, a).items()
+            }
+            for (i, _), mult in entries.items():
+                graded[(i, j)] = graded.get((i, j), 0) + mult
+        assert koszul_betti(ideal).entries == graded
 
 
 def test_quotient_basis_in_composition_order():

@@ -69,6 +69,13 @@ def test_segmentation_of_zero_pattern():
     assert seg.contents == (1, 1, 1)
 
 
+def test_segmentation_needs_positive_degree():
+    # the unit ideal is not a carry ideal; every formula goes through here
+    for fn in (segmentation, betti_formula, regularity_formula, generators_by_segmentation):
+        with pytest.raises(ValueError, match="positive degree"):
+            fn((), 0, 2)
+
+
 def test_generator_formula_fixtures():
     ideal, factors = generators_by_segmentation(*BIG)
     assert factors == ((102, 0), (21, 3), (19, 5))
