@@ -1,8 +1,8 @@
 """Exact base-p digit arithmetic.
 
 Expansions are little-endian digit tuples with no trailing zeros; the empty
-tuple represents zero. Reading a digit past the top index yields 0, so every
-consumer may treat expansions as padded with zeros on the right.
+tuple represents zero. Digits past the top index are 0, so every consumer
+may treat expansions as padded with zeros on the right.
 """
 
 import math
@@ -52,19 +52,9 @@ def value_of(digits, p):
     return total
 
 
-def digit_at(value, p, j):
-    """The j-th base-p digit of value (0 beyond the top index)."""
-    return (value // p**j) % p
-
-
 def top_index(value, p):
     """Index of the highest nonzero digit; -1 for value 0."""
     return len(expand(value, p)) - 1
-
-
-def pattern_length(d, p):
-    """Carry patterns of degree d have one entry per index 1..top_index(d)."""
-    return max(top_index(d, p), 0)
 
 
 def full_run(value, p):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
 
-from .basep import check_prime, digit_at, expand, pattern_length
+from .basep import check_prime, expand
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,13 @@ def carry_pattern(exponents, p):
     if not exponents or any(b < 0 for b in exponents):
         raise ValueError(f"bad exponent vector {exponents!r}")
     d = sum(exponents)
-    length = pattern_length(d, p)
     out = []
     carry = 0
-    rem = list(exponents)
-    for j in range(length):
-        s = sum(b % p for b in rem) + carry
-        carry = (s - digit_at(d, p, j)) // p
+    rem = exponents
+    # one entry per digit of d above the lowest
+    while d >= p:
+        d, digit = divmod(d, p)
+        carry = (sum(b % p for b in rem) + carry - digit) // p
         out.append(carry)
         rem = [b // p for b in rem]
     return tuple(out)
@@ -81,15 +81,10 @@ def column_sums(c, ctx):
     For a realizable pattern, s_j is the sum of the j-th digits of the
     exponents, so 0 <= s_j <= n(p-1) characterizes membership.
     """
-    digits = ctx.digits()
-    M = ctx.length
-
-    def entry(i):
-        return c[i - 1] if 1 <= i <= M else 0
-
+    padded = (0, *c, 0)
     return [
-        (digits[j] if j < len(digits) else 0) + ctx.p * entry(j + 1) - entry(j)
-        for j in range(M + 1)
+        digit + ctx.p * padded[j + 1] - padded[j]
+        for j, digit in enumerate(ctx.digits() or (0,))
     ]
 
 
@@ -166,39 +161,26 @@ def min_pattern(ctx):
 def max_pattern(ctx):
     """Top of the lattice, without materializing it.
 
-    Interval dynamic programming: a forward pass records which values of c_i
-    admit a consistent choice above, a backward pass filters by consistency
-    below (including the column-0 inequality), and the componentwise maxima
-    of the surviving sets assemble to a valid pattern because the lattice is
-    closed under entrywise max.
+    Column j reads 0 <= d_j + p*c_{j+1} - c_j <= n(p-1), where
+    c_0 = c_{M+1} = 0. Each inequality bounds one carry from above by a
+    non-decreasing function of its neighbour, so the solutions are closed
+    under entrywise max, and two passes reach the greatest one. The
+    bottom-up pass caps c_{j+1} <= (n(p-1) + c_j - d_j) // p, the top-down
+    pass caps c_j <= d_j + p*c_{j+1}; each applies only bounds that every
+    solution obeys. A carry lowered by the second pass to d_j + p*c_{j+1}
+    leaves column j with sum 0, and one left alone sees only lowered carries
+    above it, so no column the first pass fixed goes over n(p-1). The cap
+    c <= n-1 of a carry of n summands needs no pass: c_j <= n-1 gives
+    c_{j+1} <= (np-1) // p.
     """
-    M = ctx.length
-    if M == 0:
-        return ()
-    digits = ctx.digits()
-    p, bound = ctx.p, ctx.n * (ctx.p - 1)
-
-    def di(i):
-        return digits[i] if i < len(digits) else 0
-
-    feasible = [None] * (M + 2)
-    feasible[M + 1] = {0}
-    for i in range(M, 0, -1):
-        vals = set()
-        for above in feasible[i + 1]:
-            lo = max(0, di(i) + p * above - bound)
-            hi = min(di(i) + p * above, ctx.n - 1)
-            vals.update(range(lo, hi + 1))
-        feasible[i] = vals
-    chosen = [None] * (M + 2)
-    chosen[1] = {c for c in feasible[1] if di(0) + p * c <= bound}
-    for i in range(1, M + 1):
-        chosen[i + 1] = {
-            above
-            for above in feasible[i + 1]
-            if any(0 <= di(i) + p * above - c <= bound for c in chosen[i])
-        }
-    top = tuple(max(chosen[i]) for i in range(1, M + 1))
+    digits, p, M = ctx.digits(), ctx.p, ctx.length
+    bound = ctx.n * (p - 1)
+    c = [0] * (M + 2)
+    for j in range(M):
+        c[j + 1] = (bound + c[j] - digits[j]) // p
+    for j in range(M, 0, -1):
+        c[j] = min(c[j], digits[j] + p * c[j + 1])
+    top = tuple(c[1:-1])
     if not is_valid_pattern(top, ctx):
         raise RuntimeError(f"max_pattern built {top}, not a pattern for {ctx}")
     return top
@@ -279,18 +261,12 @@ def monomials_with_carry_leq(c, ctx):
 def cover_edges(ctx):
     """Covering relations (lower, upper) of the pattern lattice."""
     pats = enumerate_patterns(ctx)
-    edges = []
-    for low in pats:
-        for high in pats:
-            if low == high or not leq(low, high):
-                continue
-            if any(
-                mid != low and mid != high and leq(low, mid) and leq(mid, high)
-                for mid in pats
-            ):
-                continue
-            edges.append((low, high))
-    return sorted(edges)
+    # the covers of high are the maximal elements of its strict down-set
+    return sorted(
+        (low, high)
+        for high in pats
+        for low in maximal_elements(c for c in pats if c != high and leq(c, high))
+    )
 
 
 def format_pattern(c):

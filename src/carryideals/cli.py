@@ -12,6 +12,7 @@ any number of variables.
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import gl2, koszul, multmap, twovars
 from .betti import BettiTable
@@ -271,6 +272,9 @@ def _cmd_torclass(args):
     return 0
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every in-process call of main
+@lru_cache(maxsize=1)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="carryideals",

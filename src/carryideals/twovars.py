@@ -54,18 +54,13 @@ def segmentation(c, d, p):
     digits = ctx.digits()
     M = ctx.length
 
-    def entry(k):
-        return c[k - 1] if 1 <= k <= M else 0
-
+    padded = (0, *c)
     cuts = [0]
     for k in range(1, M + 1):
-        if entry(k) == 0 and (entry(k - 1), digits[k - 1]) != (0, p - 1):
+        if padded[k] == 0 and (padded[k - 1], digits[k - 1]) != (0, p - 1):
             cuts.append(k)
     cuts.append(M + 1)  # sentinel
-    segments = tuple(
-        tuple(digits[j] if j < len(digits) else 0 for j in range(cuts[r], cuts[r + 1]))
-        for r in range(len(cuts) - 1)
-    )
+    segments = tuple(digits[a:b] for a, b in zip(cuts, cuts[1:]))
     contents = tuple(value_of(seg, p) for seg in segments)
     return Segmentation(c, d, p, tuple(cuts[:-1]), segments, contents)
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from operator import le
 
@@ -127,12 +128,18 @@ def test_min_max():
     ten = Context(2, 2, 10)
     assert min_pattern(ten) == (0, 0, 0)
     assert max_pattern(ten) == (1, 1, 1)
-    # two-variable closed form: zeros up to the full run, then ones
-    for p, d in ((2, 10), (2, 37), (3, 30), (5, 62102), (3, 53)):
+    # two-variable closed form: zeros up to the full run, then ones; fixed
+    # degrees, then seeded ones far beyond brute force
+    rng = random.Random(10)
+    seeded = [
+        (rng.choice((2, 3, 5, 7, 11)), rng.randrange(1, 10 ** rng.randint(1, 12)))
+        for _ in range(400)
+    ]
+    for p, d in [(2, 10), (2, 37), (3, 30), (5, 62102), (3, 53)] + seeded:
         ctx = Context(2, p, d)
         run = full_run(d, p)
         expected = tuple(0 if i <= run else 1 for i in range(1, ctx.length + 1))
-        assert max_pattern(ctx) == expected
+        assert max_pattern(ctx) == expected, (p, d)
     # max is the join of everything
     for ctx in (Context(3, 2, 9), Context(3, 5, 35), Context(4, 3, 20)):
         pats = enumerate_patterns(ctx)
@@ -141,6 +148,10 @@ def test_min_max():
             top = join(top, c)
         assert max_pattern(ctx) == top
         assert maximal_elements(pats) == {top}
+    for n, p in product(range(1, 5), (2, 3, 5, 7)):
+        for d in range(20 if n == 4 else 40):
+            join_all = tuple(map(max, zip(*oracle_patterns(d, n, p))))
+            assert max_pattern(Context(n, p, d)) == join_all, (n, p, d)
 
 
 def test_down_closure_fixture():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from carryideals.cli import main
+from carryideals.ideals import carry_ideal, ideal_to_text
 
 SIX_TEXT = "ring n=2 p=2\n8 0\n7 3\n5 4\n4 5\n3 7\n0 8\n"
 
@@ -211,6 +212,22 @@ def test_error_exit_code(capsys):
     assert code == 2
     assert "error:" in err
 
+
+
+def test_calls_share_no_state(capsys):
+    # main parses with one parser for the life of the process: a call sees
+    # neither the labels of the call before it nor the wake of a failed one
+    top = ("compose", "-n", "2", "-p", "2", "-l", "d=10 c=(1,1,1)")
+    alone = ideal_to_text(carry_ideal((1, 1, 1), 10, 2, 2))
+    assert run(capsys, "compose", "-n", "2", "-p", "2", "-l", "d=8 c=(0,0,0)")[0] == 0
+    assert run(capsys, *top) == (0, alone, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["compose", "-n", "2", "-l", "d=8 c=(0,0,0)"])
+    assert exc.value.code == 2
+    assert "-p" in capsys.readouterr().err
+    code, out, err = run(capsys, "compose", "-n", "2", "-p", "2", "-l", "d=4")
+    assert code == 2 and out == "" and "c=" in err
+    assert run(capsys, *top) == (0, alone, "")
 
 @pytest.mark.parametrize(
     "argv",
