@@ -64,6 +64,8 @@ def full_run(value, p):
     number of digits that roll over when value is incremented.
     """
     check_prime(p)
+    if value < 0:
+        raise ValueError(f"no base-{p} digits for negative value {value}")
     j = 0
     while value % p == p - 1:
         value //= p

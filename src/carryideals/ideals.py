@@ -138,25 +138,6 @@ class MonomialIdeal:
         return any(divides(g, m) for g in self.generators)
 
 
-def degree_pieces(ideal, up_to):
-    """Monomial sets of the graded pieces from degree 0 to up_to, built
-    incrementally: each piece is the previous one times the variables plus
-    the generators of that degree."""
-    gens_by_degree = {}
-    for g in ideal.generators:
-        gens_by_degree.setdefault(sum(g), []).append(g)
-    pieces = {0: frozenset()}
-    prev = frozenset()
-    for d in range(1, up_to + 1):
-        nxt = set(gens_by_degree.get(d, ()))
-        for m in prev:
-            for i in range(ideal.n):
-                nxt.add(m[:i] + (m[i] + 1,) + m[i + 1 :])
-        prev = frozenset(nxt)
-        pieces[d] = prev
-    return pieces
-
-
 def carry_ideal(c, d, n, p):
     """The ideal generated by all degree-d monomials of carry pattern <= c."""
     if d < 1:
@@ -194,17 +175,23 @@ def _fibers(n, p, d):
 def invariance_witness(ideal):
     """None when the ideal is invariant, else a (degree, present, absent) witness.
 
-    Degree by degree up to the top generator degree, the monomials of the
-    ideal must fill whole carry classes, and the set of classes hit must be
-    downward closed in the pattern lattice. Either failure yields a monomial
-    of the ideal and a monomial it forces.
+    In each degree the monomials of the ideal must fill whole carry classes,
+    and the set of classes hit must be downward closed in the pattern
+    lattice; either failure yields a monomial of the ideal and a monomial it
+    forces. Only generator degrees are tested: every piece below the first
+    failure is invariant, and a piece with no new generators is the
+    linear-forms image of an invariant piece.
     """
     n, p = ideal.n, ideal.p
-    pieces = degree_pieces(ideal, ideal.max_degree)
+    gens_by_degree = {}
+    for g in ideal.generators:
+        gens_by_degree.setdefault(sum(g), []).append(g)
+    piece = set()
     for d in range(ideal.min_degree, ideal.max_degree + 1):
-        piece = pieces[d]
-        if not piece:
+        piece = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in piece for i in range(n)}
+        if d not in gens_by_degree:
             continue
+        piece.update(gens_by_degree[d])
         fibers = _fibers(n, p, d)
         hit = {}
         for c, fiber in fibers.items():

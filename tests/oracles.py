@@ -3,9 +3,10 @@
 Everything here is deliberately written from the definitions, by a different
 route than the library: carries come from the closed-form prefix identity
 rather than sequential addition, ranks from determinantal minors, and so on.
-`syzygy_degrees` and the two-variable character helpers at the end build on
-library results (the Hilbert-Burch matrix, base-p digits, simple characters
-and their decomposition) to check others.
+`syzygy_degrees`, `oracle_invariance_witness` and the two-variable character
+helpers at the end build on library results (the Hilbert-Burch matrix, carry
+fibers, base-p digits, simple characters and their decomposition) to check
+others.
 """
 
 import math
@@ -13,7 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from carryideals.basep import expand
+from carryideals.carry import Context, enumerate_patterns, leq
 from carryideals.gl2 import char_sum, char_tensor, decompose_character, simple_character
+from carryideals.ideals import _fibers
 from carryideals.twovars import hilbert_burch
 
 
@@ -249,6 +252,34 @@ def oracle_decompose(gens, n, p):
         labels.extend((c, d) for c in sorted(top))
         prev = piece
     return labels
+
+
+def oracle_invariance_witness(ideal):
+    """The invariance witness by the every-degree walk: each graded piece is
+    the previous one times the variables plus the generators of its degree,
+    and every nonempty piece up to the top generator degree is scanned, with
+    the same fiber and down-closure scans and witness choice as the library."""
+    n, p = ideal.n, ideal.p
+    piece = set()
+    for d in range(1, ideal.max_degree + 1):
+        piece = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in piece for i in range(n)}
+        piece.update(g for g in ideal.generators if sum(g) == d)
+        if not piece:
+            continue
+        fibers = _fibers(n, p, d)
+        hit = {}
+        for c, fiber in fibers.items():
+            inside = [m for m in fiber if m in piece]
+            if inside and len(inside) < len(fiber):
+                absent = next(m for m in fiber if m not in piece)
+                return (d, inside[0], absent)
+            if inside:
+                hit[c] = fiber
+        for c in sorted(hit):
+            for c2 in enumerate_patterns(Context(n, p, d)):
+                if c2 not in hit and leq(c2, c):
+                    return (d, hit[c][0], fibers[c2][0])
+    return None
 
 
 # --- Koszul strands (any number of variables) --------------------------------

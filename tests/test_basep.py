@@ -40,6 +40,13 @@ def test_full_run_fixtures():
     assert full_run(50, 7) == 0
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("value", (-1, -3, -7))
+def test_full_run_rejects_negative(value, p):
+    with pytest.raises(ValueError):
+        full_run(value, p)
+
+
 @given(st.integers(0, 10**6), st.sampled_from(PRIMES))
 def test_full_run_properties(value, p):
     run = full_run(value, p)

@@ -11,7 +11,6 @@ from carryideals.ideals import (
     NotInvariantError,
     carry_ideal,
     decompose,
-    degree_pieces,
     frobenius_label,
     frobenius_power,
     ideal_from_labels,
@@ -32,6 +31,7 @@ from oracles import (
     is_invariant_oracle,
     oracle_carry,
     oracle_decompose,
+    oracle_invariance_witness,
 )
 
 SIX_GENS = [(8, 0), (7, 3), (5, 4), (4, 5), (3, 7), (0, 8)]
@@ -310,6 +310,26 @@ def test_oracle_agreement_small():
         )
 
 
+def test_witness_matches_every_degree_oracle():
+    # label sums are invariant; cutting one minimal generator usually breaks
+    # invariance, often above the lowest generator degree
+    rng = random.Random(1212)
+    above = 0
+    for _ in range(100):
+        for n, p in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5)):
+            ideal = _label_sum(rng, n, p, ORACLE_DEGREE_CAP[n] // 2)
+            ideals = [ideal]
+            if len(ideal.generators) > 1:
+                gens = list(ideal.generators)
+                gens.pop(rng.randrange(len(gens)))
+                ideals.append(MonomialIdeal(gens, n, p))
+            for ideal in ideals:
+                witness = invariance_witness(ideal)
+                assert witness == oracle_invariance_witness(ideal), ideal
+                above += witness is not None and witness[0] > ideal.min_degree
+    assert above >= 25
+
+
 def test_products_and_powers():
     m3 = MonomialIdeal([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 3)
     assert power(m3, 3) == carry_ideal((1,), 3, 3, 3)
@@ -363,8 +383,7 @@ def test_saturation_properties():
             pure = tuple(d1 if k == i else 0 for k in range(n))
             assert ideal.contains_monomial(pure)
         full = n * d1
-        piece = degree_pieces(ideal, full)[full]
-        assert len(piece) == len(list(compositions(full, n)))
+        assert all(ideal.contains_monomial(m) for m in compositions(full, n))
 
 
 def test_text_round_trip():
