@@ -275,12 +275,13 @@ def format_pattern(c):
 
 def parse_pattern(text):
     text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"expected a parenthesized pattern, got {text!r}")
     inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return tuple(int(tok) for tok in inner.split(","))
+    try:
+        if text[:1] == "(" and text[-1:] == ")":
+            return tuple(int(tok) for tok in inner.split(",")) if inner else ()
+    except ValueError:
+        pass
+    raise ValueError(f"expected a pattern like (0,1), got {text!r}")
 
 
 def hasse_dot(ctx):

@@ -46,9 +46,19 @@ def _parse_label(text):
     return n, int(fields["p"]), int(fields["d"]), parse_pattern(fields["c"])
 
 
-def _one_label(text):
-    """The (pattern, degree) of a "d=<d> c=(...)" argument."""
+def _labels(text, n, p):
+    """Labels from "d=<d> c=(...)" lines; an n= or p= field must agree with -n/-p."""
     labels = labels_from_text(text)
+    flags = {"n": n, "p": p}
+    for key, _, val in (tok.partition("=") for tok in text.split()):
+        if key in flags and int(val) != flags[key]:
+            raise ValueError(f"label field {key}={val} contradicts -{key} {flags[key]}")
+    return labels
+
+
+def _one_label(text, n, p):
+    """The (pattern, degree) of a "d=<d> c=(...)" argument."""
+    labels = _labels(text, n, p)
     if len(labels) != 1:
         raise ValueError(f"expected one label like 'd=8 c=(0,0,0)', got {text!r}")
     return labels[0]
@@ -106,10 +116,10 @@ def _cmd_decompose(args):
 
 
 def _cmd_compose(args):
-    labels = [_one_label(item) for item in args.label or []]
+    labels = [_one_label(item, args.n, args.p) for item in args.label or []]
     if args.labels_file:
         with open(args.labels_file, encoding="utf-8") as fh:
-            labels.extend(labels_from_text(fh.read()))
+            labels.extend(_labels(fh.read(), args.n, args.p))
     if not labels:
         raise ValueError("compose needs at least one -l/--label or --labels-file")
     ideal = ideal_from_labels(labels, args.n, args.p)
@@ -207,11 +217,9 @@ def _cmd_reg(args):
 
 
 def _cmd_contains(args):
-    n = args.n
-    p = args.p
-    c, d = _one_label(args.outer)
-    c2, d2 = _one_label(args.inner)
-    verdict = multmap.contains(c, d, c2, d2, n, p)
+    c, d = _one_label(args.outer, args.n, args.p)
+    c2, d2 = _one_label(args.inner, args.n, args.p)
+    verdict = multmap.contains(c, d, c2, d2, args.n, args.p)
     if args.json:
         _emit({"contains": verdict})
     else:

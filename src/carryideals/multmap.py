@@ -1,14 +1,13 @@
 """Degree-by-degree growth of carry ideals under multiplication by variables.
 
-Multiplying a monomial by one variable changes its carry pattern by a closed
-formula in terms of two digit statistics: the full run of the degree and the
-full run of the incremented exponent. Maximizing over a carry class gives the
-successor pattern one degree up, and iterating the successor answers the
-containment question between carry ideals of different degrees.
+Multiplying by x_i rolls over the digits of b_i below its full run r: the
+digit-column sums drop by p-1 below r and rise by one at r, and the carries
+one degree up are read back as c_{j+1} = (c_j + s_j - d_j) / p. Growing a
+class at its first column with a sum below n(p-1), the least full run in the
+class, gives its successor; iterating the successor decides containment.
 
-One-variable contexts are rejected throughout: every column of a single
-exponent can be full, so the slack statistic is undefined, and k[x] has only
-the ideals <x^d>, all invariant, handled by the ideal module directly.
+n = 1 is rejected throughout: a lone exponent can fill every column, and k[x]
+has only the ideals <x^d>, all invariant, handled by the ideal module.
 """
 
 from .basep import full_run
@@ -23,6 +22,12 @@ def _check_multivariate(n):
         raise ValueError("multiplication-map statistics need at least two variables")
 
 
+def _first_slack(c, ctx):
+    # never exhausted: the top column sum d_M - c_M is below p <= n(p-1)
+    bound = ctx.n * (ctx.p - 1)
+    return next(j for j, s in enumerate(column_sums(c, ctx)) if s < bound)
+
+
 def first_slack_column(c, ctx):
     """Least digit position whose column sum is not full, i.e. < n(p-1).
 
@@ -33,45 +38,35 @@ def first_slack_column(c, ctx):
     _check_multivariate(ctx.n)
     if not is_valid_pattern(c, ctx):
         raise ValueError(f"{c} is not a carry pattern for {ctx}")
-    bound = ctx.n * (ctx.p - 1)
-    for j, s in enumerate(column_sums(c, ctx)):
-        if s < bound:
-            return j
-    raise RuntimeError("every column full; impossible for n >= 2")
+    return _first_slack(c, ctx)
 
 
-def _shift(c, M, target, plus_run, minus_run):
-    # (c_1..c_M, 0) + 1^plus_run - 1^minus_run, renormalized to the pattern
-    # length target at degree d+1; a surplus trailing entry is provably zero.
-    vec = [
-        (c[k - 1] if k <= M else 0)
-        + (1 if k <= plus_run else 0)
-        - (1 if k <= minus_run else 0)
-        for k in range(1, M + 2)
-    ]
-    if len(vec) == target + 1:
-        if vec[-1] != 0:
-            raise RuntimeError(f"surplus trailing carry in {vec}")
-        vec = vec[:-1]
-    return tuple(vec)
+def _grow(c, here, r):
+    # (pattern, Context) at d+1 after an exponent of full run r is incremented
+    up, p = Context(here.n, here.p, here.d + 1), here.p
+    sums = column_sums(c, here) + [0] * (up.length - here.length)
+    carry, out = 0, []
+    for j, (s, e) in enumerate(zip(sums, up.digits())):
+        s += 1 if j == r else (1 - p if j < r else 0)
+        carry, rest = divmod(carry + s - e, p)
+        if rest or carry < 0:
+            raise RuntimeError(f"no carry {j + 1} for {c} grown at {r} in {up}")
+        out.append(carry)
+    if out.pop():
+        raise RuntimeError(f"{c} grown at {r} carries past the top of {up}")
+    return tuple(out), up
 
 
 def carry_after_multiply(exponents, index, p):
-    """Carry pattern of x_index * x^exponents, by the closed formula.
-
-    Agrees with recomputing the pattern of the incremented vector; the formula
-    shifts the old pattern by the full run of the degree minus the full run of
-    the chosen exponent.
-    """
+    """Carry pattern of x_index * x^exponents, by the column-sum rule; agrees
+    with recomputing the pattern of the incremented vector."""
     exponents = tuple(exponents)
     n = len(exponents)
     _check_multivariate(n)
     if not 0 <= index < n:
         raise ValueError(f"variable index {index} out of range")
-    d = sum(exponents)
     c = carry_pattern(exponents, p)
-    M, target = Context(n, p, d).length, Context(n, p, d + 1).length
-    return _shift(c, M, target, full_run(d, p), full_run(exponents[index], p))
+    return _grow(c, Context(n, p, sum(exponents)), full_run(exponents[index], p))[0]
 
 
 def successor(c, ctx):
@@ -81,13 +76,7 @@ def successor(c, ctx):
     subspace of class c by all linear forms is exactly the subspace of the
     successor class at degree d+1.
     """
-    _check_multivariate(ctx.n)
-    sh = first_slack_column(c, ctx)
-    up = Context(ctx.n, ctx.p, ctx.d + 1)
-    nxt = _shift(c, ctx.length, up.length, full_run(ctx.d, ctx.p), sh)
-    if not is_valid_pattern(nxt, up):
-        raise RuntimeError(f"successor built {nxt}, not a pattern for {up}")
-    return nxt
+    return _grow(c, ctx, first_slack_column(c, ctx))[0]
 
 
 def contains(c, d, c2, d2, n, p):
@@ -98,18 +87,16 @@ def contains(c, d, c2, d2, n, p):
     saturated and contains everything in all higher degrees.
     """
     _check_multivariate(n)
-    ctx = Context(n, p, d)
-    if not is_valid_pattern(c, ctx):
-        raise ValueError(f"{c} is not a carry pattern for {ctx}")
+    here = Context(n, p, d)
+    if not is_valid_pattern(c, here):
+        raise ValueError(f"{c} is not a carry pattern for {here}")
     ctx2 = Context(n, p, d2)
     if not is_valid_pattern(c2, ctx2):
         raise ValueError(f"{c2} is not a carry pattern for {ctx2}")
     if d2 < d:
         return False
-    cur = c
-    for steps, e in enumerate(range(d, d2)):
-        here = Context(n, p, e)
-        if cur == max_pattern(here):
+    for steps in range(d2 - d):
+        if c == max_pattern(here):
             # saturated: every higher graded piece is the whole space
             return True
         if steps >= MAX_DEGREE_STEPS:
@@ -117,5 +104,5 @@ def contains(c, d, c2, d2, n, p):
                 f"no saturation within {MAX_DEGREE_STEPS} degree steps; "
                 "giving up on the iteration guard"
             )
-        cur = successor(cur, here)
-    return leq(c2, cur)
+        c, here = _grow(c, here, _first_slack(c, here))
+    return leq(c2, c)

@@ -49,6 +49,36 @@ def len_pattern(d, p):
     return length
 
 
+def oracle_shift(c, d, p, run):
+    """The full-run shift formula for a carry pattern one degree up.
+
+    Incrementing an exponent of full run `run` in a monomial of degree d and
+    pattern c gives (c_1, ..., c_M, 0) + 1^{full run of d} - 1^{run}, where 1^k
+    is 1 in the first k entries; a surplus trailing entry is provably zero and
+    is cut to the pattern length at d+1. With `run` the first slack column of
+    c this is the successor of c.
+    """
+
+    def full_run(v):
+        k = 0
+        while v % p == p - 1:
+            v, k = v // p, k + 1
+        return k
+
+    M, target = len_pattern(d, p), len_pattern(d + 1, p)
+    vec = [
+        (c[k - 1] if k <= M else 0)
+        + (1 if k <= full_run(d) else 0)
+        - (1 if k <= run else 0)
+        for k in range(1, M + 2)
+    ]
+    if len(vec) == target + 1:
+        if vec[-1] != 0:
+            raise RuntimeError(f"surplus trailing carry in {vec}")
+        vec = vec[:-1]
+    return tuple(vec)
+
+
 def oracle_patterns(d, n, p):
     return {oracle_carry(b, p) for b in compositions(d, n)}
 

@@ -269,6 +269,14 @@ def test_malformed_ideal_header(capsys, monkeypatch, text, field):
         (["generators", "--label", "n=2 p=5 d=25"], "c="),
         (["betti", "--label", "d=25 c=(0,1)"], "p="),
         (["betti", "--label", "p=5 d=25"], "c="),
+        (["reg", "--label", "n=2 p=2 d=4 c=(0,)"], "(0,)"),
+        (["reg", "--label", "n=2 p=2 d=4 c=(0,a)"], "(0,a)"),
+        (["contains", "-n", "2", "-p", "5", "--outer", "n=3 p=7 d=25 c=(0,1)",
+          "--inner", "d=26 c=(0,1)"], "n="),
+        (["contains", "-n", "2", "-p", "5", "--outer", "d=25 c=(0,1)",
+          "--inner", "p=7 d=26 c=(0,1)"], "p="),
+        (["compose", "-n", "2", "-p", "3", "-l", "n=3 d=4 c=(0)"], "n="),
+        (["compose", "-n", "2", "-p", "3", "-l", "p=5 d=4 c=(0)"], "p="),
     ],
 )
 def test_malformed_label_argument(capsys, argv, field):
@@ -279,7 +287,12 @@ def test_malformed_label_argument(capsys, argv, field):
 
 @pytest.mark.parametrize(
     "text, field",
-    [("d=4 c=(0)\nd=5\n", "c="), ("d=4 c=(0)\nc=(0)\n", "d=")],
+    [
+        ("d=4 c=(0)\nd=5\n", "c="),
+        ("d=4 c=(0)\nc=(0)\n", "d="),
+        ("n=3 d=4 c=(0)\n", "n="),
+        ("d=4 c=(0)\np=5 d=5 c=(0)\n", "p="),
+    ],
 )
 def test_malformed_labels_file(tmp_path, capsys, text, field):
     path = tmp_path / "labels.txt"

@@ -12,12 +12,13 @@ from carryideals.carry import (
 )
 from carryideals.ideals import carry_ideal
 from carryideals.multmap import (
+    _grow,
     carry_after_multiply,
     contains,
     first_slack_column,
     successor,
 )
-from oracles import compositions, ideal_contains_ideal
+from oracles import compositions, ideal_contains_ideal, oracle_shift
 
 
 def test_multiply_fixtures():
@@ -36,7 +37,18 @@ def test_multiply_matches_recomputation(exponents, index, p):
     index %= len(exponents)
     bumped = list(exponents)
     bumped[index] += 1
-    assert carry_after_multiply(exponents, index, p) == carry_pattern(bumped, p)
+    got = carry_after_multiply(exponents, index, p)
+    assert got == carry_pattern(bumped, p)
+    c, d = carry_pattern(exponents, p), sum(exponents)
+    assert got == oracle_shift(c, d, p, full_run(exponents[index], p))
+
+
+def test_growth_refuses_a_carry_above_the_top():
+    # (1,) is one entry too long for d = 3 at p = 5: its only column sum,
+    # 3 + 5*1 = 8, is full but carries 5 more than the degree, and the
+    # readback at d = 4 leaves that carry above the top digit
+    with pytest.raises(RuntimeError):
+        _grow((1,), Context(2, 5, 3), 0)
 
 
 def test_slack_fixtures():
@@ -70,6 +82,19 @@ def test_successor_fixtures():
         assert d <= 10
     assert d == 7
     assert successor(cur, Context(2, 2, 7)) == (1, 1, 1)
+
+
+def test_successor_matches_shift_formula():
+    cases = 0
+    for n in (2, 3, 4):
+        for p in (2, 3, 5, 7):
+            for d in range(60 if n < 4 else 30):
+                ctx = Context(n, p, d)
+                for c in enumerate_patterns(ctx):
+                    run = first_slack_column(c, ctx)
+                    assert successor(c, ctx) == oracle_shift(c, d, p, run)
+                    cases += 1
+    assert cases == 3295
 
 
 def test_successor_graded_piece_identity():
