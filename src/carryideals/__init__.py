@@ -4,8 +4,8 @@ The package computes with the combinatorics controlling ideals of
 k[x_1..x_n] that are preserved by every linear change of coordinates when
 char k = p > 0: carry patterns of monomials and their lattices, carry ideals
 and decompositions of invariant ideals, growth under multiplication by linear
-forms, closed-form generators and Betti numbers in two variables, homological
-invariants over F_p for any n, and character arithmetic for two variables.
+forms, closed-form generators, Betti numbers and Grothendieck classes of the
+Tor spaces in two variables, and homological invariants over F_p for any n.
 """
 
 from .basep import (
@@ -20,9 +20,7 @@ from .betti import BettiTable
 from .carry import (
     Context,
     carry_pattern,
-    down_closure,
     enumerate_patterns,
-    is_order_closed,
     is_valid_pattern,
     join,
     leq,
@@ -51,14 +49,12 @@ from .koszul import (
     projective_dimension,
     quotient_basis,
     regularity,
-    top_corner,
 )
 from .multmap import carry_after_multiply, contains, first_slack_column, successor
 from .twovars import (
     betti_formula,
     generators_by_segmentation,
     hilbert_burch,
-    is_generator_exponent,
     is_simple_degree,
     pure_power_certificate,
     regularity_formula,

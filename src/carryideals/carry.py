@@ -186,16 +186,6 @@ def max_pattern(ctx):
     return top
 
 
-def down_closure(patterns, ctx):
-    """All lattice elements below some member of the given set."""
-    pats = set(patterns)
-    return {c for c in enumerate_patterns(ctx) if any(leq(c, b) for b in pats)}
-
-
-def is_order_closed(patterns, ctx):
-    return set(patterns) == down_closure(patterns, ctx)
-
-
 def maximal_elements(patterns):
     """The antichain of entrywise-maximal members."""
     pats = set(patterns)

@@ -26,6 +26,7 @@ from .carry import (
 )
 from .ideals import (
     _fields,
+    _int_value,
     carry_ideal,
     decompose,
     ideal_from_labels,
@@ -41,18 +42,20 @@ from .ideals import (
 
 def _parse_label(text):
     """(n, p, d, c) of a label like "n=2 p=5 d=25 c=(0,1)"; n defaults to 2."""
-    fields = _fields(text.split(), f"label {text!r}", ("p", "d", "c"))
-    n = int(fields.get("n", 2))
-    return n, int(fields["p"]), int(fields["d"]), parse_pattern(fields["c"])
+    what = f"label {text!r}"
+    fields = {"n": "2", **_fields(text.split(), what, ("p", "d", "c"))}
+    n, p, d = (_int_value(fields[key], key, what) for key in ("n", "p", "d"))
+    return n, p, d, parse_pattern(fields["c"])
 
 
 def _labels(text, n, p):
     """Labels from "d=<d> c=(...)" lines; an n= or p= field must agree with -n/-p."""
     labels = labels_from_text(text)
     flags = {"n": n, "p": p}
-    for key, _, val in (tok.partition("=") for tok in text.split()):
-        if key in flags and int(val) != flags[key]:
-            raise ValueError(f"label field {key}={val} contradicts -{key} {flags[key]}")
+    for ln in text.splitlines():
+        for key, _, val in (tok.partition("=") for tok in ln.split()):
+            if key in flags and _int_value(val, key, f"label {ln.strip()!r}") != flags[key]:
+                raise ValueError(f"label field {key}={val} contradicts -{key} {flags[key]}")
     return labels
 
 
@@ -124,20 +127,27 @@ def _cmd_compose(args):
         raise ValueError("compose needs at least one -l/--label or --labels-file")
     ideal = ideal_from_labels(labels, args.n, args.p)
     if args.json:
-        _emit(ideal_to_json(ideal))
+        _emit(ideal_to_json(ideal.generators, ideal.n, ideal.p))
     else:
-        sys.stdout.write(ideal_to_text(ideal))
+        sys.stdout.write(ideal_to_text(ideal.generators, ideal.n, ideal.p))
     return 0
+
+
+def _two_var_generators(seg):
+    """The minimal generators of a two-variable carry ideal in canonical
+    order, read off its segmentation."""
+    return [(a, seg.d - a) for a in reversed(twovars.generator_exponents(seg))]
 
 
 def _cmd_generators(args):
     n, p, d, c = _parse_label(args.label)
     if n == 2:
-        ideal, factors = twovars.generators_by_segmentation(c, d, p)
+        seg = twovars.segmentation(c, d, p)
+        gens, factors = _two_var_generators(seg), twovars.generator_factors(seg)
     else:
-        ideal, factors = carry_ideal(c, d, n, p), None
+        gens, factors = carry_ideal(c, d, n, p).generators, None
     if args.json:
-        obj = ideal_to_json(ideal)
+        obj = ideal_to_json(gens, n, p)
         if factors is not None:
             obj["factors"] = [list(f) for f in factors]
         _emit(obj)
@@ -147,7 +157,7 @@ def _cmd_generators(args):
             raise ValueError("--factored is available for two variables only")
         print(twovars.format_factors(factors, p))
     else:
-        sys.stdout.write(ideal_to_text(ideal))
+        sys.stdout.write(ideal_to_text(gens, n, p))
     return 0
 
 
@@ -254,9 +264,13 @@ def _cmd_invariant(args):
 
 def _cmd_purity(args):
     ideal, label, n, p = _resolve_input(args)
-    if ideal is None:
-        ideal = carry_ideal(label[0], label[1], n, p)
-    cert = twovars.pure_power_certificate(ideal)
+    if ideal is not None:
+        cert = twovars.pure_power_certificate(ideal)
+    elif n == 2:
+        gens = _two_var_generators(twovars.segmentation(*label, p))
+        cert = twovars.pure_power_of_generators(gens, p)
+    else:
+        cert = twovars.pure_power_certificate(carry_ideal(label[0], label[1], n, p))
     if args.json:
         obj = {"pure": cert is not None}
         if cert:
@@ -271,8 +285,11 @@ def _cmd_purity(args):
 
 def _cmd_torclass(args):
     n, p, d, c = _parse_label(args.label)
-    ideal = carry_ideal(c, d, n, p)
-    cls = gl2.tor_class(ideal, args.i, args.j)
+    if n == 2:
+        gens = _two_var_generators(twovars.segmentation(c, d, p))
+        cls = gl2.tor_class_of_generators(gens, p, args.i, args.j)
+    else:
+        cls = gl2.tor_class(carry_ideal(c, d, n, p), args.i, args.j)
     if args.json:
         _emit({"class": [[list(lam), mult] for lam, mult in sorted(cls.items())]})
     else:
@@ -368,12 +385,22 @@ def _build_parser():
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_torclass)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # a known subcommand goes straight to its own parser, which is what the
+    # top-level parser would hand it to; unknown arguments are refused in the
+    # top-level parser's words
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -272,9 +272,10 @@ def frobenius_label(c, d, e, p):
 # ---------------------------------------------------------------------------
 # serialization
 
-def ideal_to_text(ideal):
-    lines = [f"ring n={ideal.n} p={ideal.p}"]
-    lines.extend(" ".join(str(x) for x in g) for g in ideal.generators)
+def ideal_to_text(generators, n, p):
+    """The text format of the ideal with these minimal generators, in order."""
+    lines = [f"ring n={n} p={p}"]
+    lines.extend(" ".join(str(x) for x in g) for g in generators)
     return "\n".join(lines) + "\n"
 
 
@@ -292,22 +293,27 @@ def _fields(tokens, what, required):
     return fields
 
 
+def _int_value(val, key, what):
+    """The integer value val of the key= field of what."""
+    try:
+        return int(val)
+    except ValueError:
+        raise ValueError(f"{what} has a non-integer {key}= field: {val!r}") from None
+
+
 def ideal_from_text(text):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("ring"):
         raise ValueError("ideal text must start with a 'ring n=<n> p=<p>' header")
-    fields = _fields(lines[0].split()[1:], "the ring header", ("n", "p"))
-    n, p = int(fields["n"]), int(fields["p"])
+    what = "the ring header"
+    fields = _fields(lines[0].split()[1:], what, ("n", "p"))
+    n, p = (_int_value(fields[key], key, what) for key in ("n", "p"))
     gens = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
     return MonomialIdeal(gens, n, p)
 
 
-def ideal_to_json(ideal):
-    return {
-        "n": ideal.n,
-        "p": ideal.p,
-        "generators": [list(g) for g in ideal.generators],
-    }
+def ideal_to_json(generators, n, p):
+    return {"n": n, "p": p, "generators": [list(g) for g in generators]}
 
 
 def labels_to_text(labels):
@@ -320,8 +326,9 @@ def labels_from_text(text):
     labels = []
     for ln in text.splitlines():
         if ln.strip():
-            fields = _fields(ln.split(), f"label {ln.strip()!r}", ("c", "d"))
-            labels.append((parse_pattern(fields["c"]), int(fields["d"])))
+            what = f"label {ln.strip()!r}"
+            fields = _fields(ln.split(), what, ("c", "d"))
+            labels.append((parse_pattern(fields["c"]), _int_value(fields["d"], "d", what)))
     return labels
 
 

@@ -102,21 +102,6 @@ def projective_dimension(ideal):
     return ideal.n
 
 
-def top_corner(ideal):
-    """The bottom-right corner of the table: (regularity, monomial basis of
-    the top quotient piece, weights twisted by the top wedge).
-
-    The Tor space in homological position n and internal degree reg + n is
-    the top quotient piece tensored with the one-dimensional top wedge, which
-    shifts every torus weight by (1, ..., 1).
-    """
-    _check_finite_colength(ideal)
-    pieces = _staircase(ideal)
-    basis = pieces[-1]
-    weights = [tuple(x + 1 for x in m) for m in basis]
-    return len(pieces) - 1, tuple(basis), tuple(weights)
-
-
 def _rank(rows, p):
     """Rank over F_p of the matrix with the given integer rows."""
     rows = [[v % p for v in row] for row in rows]

@@ -65,34 +65,12 @@ def segmentation(c, d, p):
     return Segmentation(c, d, p, tuple(cuts[:-1]), segments, contents)
 
 
-def slice_contents(a, seg):
-    """Contents of the digits of a sliced at the segmentation's cut points."""
-    cuts = list(seg.cut_points) + [max(top_index(seg.d, seg.p), 0) + 1]
-    out = []
-    for r in range(len(seg.cut_points)):
-        lo, hi = cuts[r], cuts[r + 1]
-        block = (a // seg.p**lo) % seg.p ** (hi - lo)
-        out.append(block)
-    return tuple(out)
-
-
-def is_generator_exponent(a, c, d, p):
-    """Whether x^a y^(d-a) is a minimal generator of the carry ideal of (c, d).
-
-    Holds exactly when each sliced content of a is at most the corresponding
-    content of d, which is the closed-form version of carry(a, d-a) <= c.
-    """
-    if not 0 <= a <= d:
-        raise ValueError(f"exponent {a} out of range for degree {d}")
-    seg = segmentation(c, d, p)
-    return all(x <= y for x, y in zip(slice_contents(a, seg), seg.contents))
-
-
 def generator_exponents(seg):
     """All x-exponents of minimal generators: sums w_r p^{t_r}, 0 <= w_r <= content_r."""
     exps = [0]
     for t, cont in zip(seg.cut_points, seg.contents):
-        exps = [a + w * seg.p**t for a in exps for w in range(cont + 1)]
+        step = seg.p**t
+        exps = [a + w * step for a in exps for w in range(cont + 1)]
     return sorted(exps)
 
 
@@ -228,7 +206,13 @@ def pure_power_certificate(ideal):
     """
     if ideal.n != 2:
         raise ValueError("purity test handles two-variable ideals only")
-    gens = sorted(ideal.generators, key=lambda g: -g[0])
+    return pure_power_of_generators(ideal.generators, ideal.p)
+
+
+def pure_power_of_generators(generators, p):
+    """pure_power_certificate of the two-variable ideal with these minimal
+    generators."""
+    gens = sorted(generators, key=lambda g: -g[0])
     degrees = {sum(g) for g in gens}
     if len(degrees) != 1:
         return None
@@ -242,7 +226,7 @@ def pure_power_certificate(ideal):
     e = 0
     q = 1
     while q < stride:
-        q *= ideal.p
+        q *= p
         e += 1
     if q != stride:
         return None

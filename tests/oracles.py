@@ -3,21 +3,21 @@
 Everything here is deliberately written from the definitions, by a different
 route than the library: carries come from the closed-form prefix identity
 rather than sequential addition, ranks from determinantal minors, and so on.
-`syzygy_degrees`, `oracle_invariance_witness` and the two-variable character
-helpers at the end build on library results (the Hilbert-Burch matrix, carry
-fibers, base-p digits, simple characters and their decomposition) to check
-others.
+`syzygy_degrees`, `oracle_invariance_witness`, `top_corner` and the
+two-variable Tor oracles at the end build on library results (the
+Hilbert-Burch matrix, carry fibers, the staircase, the segmentation and the
+multigraded Betti numbers) to check others.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
 
-from carryideals.basep import expand
+from carryideals.basep import check_prime, expand, top_index
 from carryideals.carry import Context, enumerate_patterns, leq
-from carryideals.gl2 import char_sum, char_tensor, decompose_character, simple_character
 from carryideals.ideals import _fibers
-from carryideals.twovars import hilbert_burch
+from carryideals.koszul import multigraded_betti, quotient_basis, regularity
+from carryideals.twovars import hilbert_burch, segmentation
 
 
 def compositions(d, n):
@@ -81,6 +81,16 @@ def oracle_shift(c, d, p, run):
 
 def oracle_patterns(d, n, p):
     return {oracle_carry(b, p) for b in compositions(d, n)}
+
+
+def down_closure(patterns, ctx):
+    """All lattice elements below some member of the given set."""
+    pats = set(patterns)
+    return {c for c in enumerate_patterns(ctx) if any(leq(c, b) for b in pats)}
+
+
+def is_order_closed(patterns, ctx):
+    return set(patterns) == down_closure(patterns, ctx)
 
 
 def two_var_patterns(d, p):
@@ -209,6 +219,29 @@ def poly_det(matrix):
             term = {m: -c for m, c in term.items()}
         total = poly_add(total, term)
     return total
+
+
+def slice_contents(a, seg):
+    """Contents of the digits of a sliced at the segmentation's cut points."""
+    cuts = list(seg.cut_points) + [max(top_index(seg.d, seg.p), 0) + 1]
+    out = []
+    for r in range(len(seg.cut_points)):
+        lo, hi = cuts[r], cuts[r + 1]
+        block = (a // seg.p**lo) % seg.p ** (hi - lo)
+        out.append(block)
+    return tuple(out)
+
+
+def is_generator_exponent(a, c, d, p):
+    """Whether x^a y^(d-a) is a minimal generator of the carry ideal of (c, d).
+
+    Holds exactly when each sliced content of a is at most the corresponding
+    content of d, which is the closed-form version of carry(a, d-a) <= c.
+    """
+    if not 0 <= a <= d:
+        raise ValueError(f"exponent {a} out of range for degree {d}")
+    seg = segmentation(c, d, p)
+    return all(x <= y for x, y in zip(slice_contents(a, seg), seg.contents))
 
 
 def syzygy_degrees(ideal):
@@ -409,7 +442,97 @@ def block_betti(gens, n, p, a):
     return {i: mult for i, mult in homology.items() if mult}
 
 
+def top_corner(ideal):
+    """The bottom-right corner of the Betti table of a finite-colength
+    quotient: (regularity, monomial basis of the top quotient piece, weights
+    twisted by the top wedge).
+
+    The Tor space in homological position n and internal degree reg + n is
+    the top quotient piece tensored with the one-dimensional top wedge, which
+    shifts every torus weight by (1, ..., 1).
+    """
+    reg = regularity(ideal)
+    basis = quotient_basis(ideal, reg)
+    weights = [tuple(x + 1 for x in m) for m in basis]
+    return reg, tuple(basis), tuple(weights)
+
+
 # --- two-variable characters --------------------------------------------------
+
+def char_sum(a, b, sign=1):
+    out = dict(a)
+    for w, m in b.items():
+        out[w] = out.get(w, 0) + sign * m
+        if out[w] == 0:
+            del out[w]
+    return out
+
+
+def char_tensor(a, b):
+    out = {}
+    for (w1, w2), m in a.items():
+        for (v1, v2), m2 in b.items():
+            key = (w1 + v1, w2 + v2)
+            out[key] = out.get(key, 0) + m * m2
+            if out[key] == 0:
+                del out[key]
+    return out
+
+
+def simple_character(lam, p):
+    """Character of the simple module of highest weight lam = (lam1 >= lam2 >= 0).
+
+    It factors digit by digit: each base-p digit a_i of lam1 - lam2
+    contributes the weights (a_i - k, k) scaled by p^i, and the factors
+    tensor together without weight collisions.
+    """
+    check_prime(p)
+    lam = tuple(lam)
+    if len(lam) != 2 or lam[0] < lam[1] or lam[1] < 0:
+        raise ValueError(f"{lam} is not a dominant polynomial weight")
+    ch = {(0, 0): 1}
+    for i, digit in enumerate(expand(lam[0] - lam[1], p)):
+        scale = p**i
+        factor = {((digit - k) * scale, k * scale): 1 for k in range(digit + 1)}
+        ch = char_tensor(ch, factor)
+    return {(w1 + lam[1], w2 + lam[1]): m for (w1, w2), m in ch.items()}
+
+
+def decompose_character(ch, p):
+    """Integer combination of simples with the given character.
+
+    Peels at the lexicographically maximal surviving weight, which is the
+    highest weight of a composition factor for every genuine subquotient of
+    a space of forms. Each peel strictly lowers the first coordinate of that
+    weight within its degree and dominance keeps it at least half the
+    degree, which bounds the loop; a non-dominant maximal weight means the
+    input is not a virtual character of a polynomial representation.
+    """
+    ch = {w: m for w, m in ch.items() if m}
+    budget = 1
+    for deg in {w1 + w2 for w1, w2 in ch}:
+        budget += deg // 2 + 1
+    out = {}
+    while ch:
+        lam = max(ch)
+        if lam[0] < lam[1] or lam[1] < 0:
+            raise ValueError(f"character has non-dominant leading weight {lam}")
+        budget -= 1
+        if budget < 0:
+            raise ValueError("character does not decompose into simples")
+        mult = ch[lam]
+        out[lam] = mult
+        ch = char_sum(ch, simple_character(lam, p), sign=-mult)
+    return out
+
+
+def oracle_tor_class(ideal, i, j):
+    """Grothendieck class of Tor_{i,j} of the quotient by a two-variable
+    ideal, peeled from its torus character: the sum of the multigraded Betti
+    numbers beta_{i,a} x^a over the Koszul blocks a of degree j."""
+    entries = multigraded_betti(ideal, j)
+    return decompose_character({a: v for (k, a), v in entries.items() if k == i}, ideal.p)
+
 
 def degree_character(e):
     """Character of the full space of degree-e forms in two variables."""

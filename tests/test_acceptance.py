@@ -18,7 +18,7 @@ from carryideals.carry import (
     enumerate_patterns,
     leq,
 )
-from carryideals.gl2 import decompose_character, tor_class
+from carryideals.gl2 import tor_class
 from carryideals.ideals import (
     MonomialIdeal,
     carry_ideal,
@@ -38,6 +38,7 @@ from carryideals.twovars import (
 from oracles import (
     class_dimension,
     compositions,
+    decompose_character,
     degree_character,
     is_invariant_oracle,
     oracle_patterns,

@@ -11,10 +11,8 @@ from carryideals.carry import (
     Context,
     carry_pattern,
     cover_edges,
-    down_closure,
     enumerate_patterns,
     format_pattern,
-    is_order_closed,
     is_valid_pattern,
     join,
     leq,
@@ -26,7 +24,13 @@ from carryideals.carry import (
     monomials_with_carry_leq,
     parse_pattern,
 )
-from oracles import compositions, oracle_carry, oracle_patterns
+from oracles import (
+    compositions,
+    down_closure,
+    is_order_closed,
+    oracle_carry,
+    oracle_patterns,
+)
 
 C10 = {(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)}
 

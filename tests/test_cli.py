@@ -205,6 +205,16 @@ def test_torclass(capsys):
         capsys, "torclass", "--label", "p=2 d=5 c=(0,0)", "-i", "2", "-j", "8"
     )
     assert code == 0 and out.strip() == "1*L(4,4)"
+    # 45320 generators in six carry classes
+    code, out, err = run(
+        capsys, "torclass", "--label", "p=5 d=62102 c=(1,1,0,1,0,0)",
+        "-i", "1", "-j", "62102",
+    )
+    assert code == 0 and err == ""
+    assert out.strip() == (
+        "1*L(62102,0) + 1*L(62099,3) + 1*L(62097,5) + 1*L(61852,250)"
+        " + 1*L(61849,253) + 1*L(61847,255)"
+    )
 
 
 def test_error_exit_code(capsys):
@@ -214,11 +224,21 @@ def test_error_exit_code(capsys):
 
 
 
+def test_unknown_argument_after_subcommand(capsys):
+    # refused in the top-level parser's words, as when it parsed every call
+    with pytest.raises(SystemExit) as exc:
+        main(["carry", "-p", "3", "-b", "4,6", "--bogus", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: carryideals [-h]")
+    assert err.endswith("carryideals: error: unrecognized arguments: --bogus x\n")
+
+
 def test_calls_share_no_state(capsys):
     # main parses with one parser for the life of the process: a call sees
     # neither the labels of the call before it nor the wake of a failed one
     top = ("compose", "-n", "2", "-p", "2", "-l", "d=10 c=(1,1,1)")
-    alone = ideal_to_text(carry_ideal((1, 1, 1), 10, 2, 2))
+    alone = ideal_to_text(carry_ideal((1, 1, 1), 10, 2, 2).generators, 2, 2)
     assert run(capsys, "compose", "-n", "2", "-p", "2", "-l", "d=8 c=(0,0,0)")[0] == 0
     assert run(capsys, *top) == (0, alone, "")
     with pytest.raises(SystemExit) as exc:
@@ -277,6 +297,14 @@ def test_malformed_ideal_header(capsys, monkeypatch, text, field):
           "--inner", "p=7 d=26 c=(0,1)"], "p="),
         (["compose", "-n", "2", "-p", "3", "-l", "n=3 d=4 c=(0)"], "n="),
         (["compose", "-n", "2", "-p", "3", "-l", "p=5 d=4 c=(0)"], "p="),
+        (["generators", "--label", "n=2 p=5 d=x c=(0,1)"],
+         "label 'n=2 p=5 d=x c=(0,1)' has a non-integer d= field: 'x'"),
+        (["contains", "-n", "2", "-p", "2", "--outer", "d=2x c=()",
+          "--inner", "d=2 c=(1)"], "label 'd=2x c=()' has a non-integer d= field: '2x'"),
+        (["torclass", "--label", "n=two p=5 d=4 c=(0)", "-i", "1", "-j", "4"],
+         "non-integer n= field: 'two'"),
+        (["compose", "-n", "2", "-p", "3", "-l", "p=3.0 d=4 c=(0)"],
+         "label 'p=3.0 d=4 c=(0)' has a non-integer p= field: '3.0'"),
     ],
 )
 def test_malformed_label_argument(capsys, argv, field):

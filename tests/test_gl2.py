@@ -4,24 +4,22 @@ import pytest
 
 from carryideals.basep import expand
 from carryideals.carry import Context, carry_pattern, enumerate_patterns, leq
-from carryideals.gl2 import (
-    char_sum,
-    decompose_character,
-    format_class,
-    simple_character,
-    tor_class,
-)
+from carryideals.gl2 import format_class, tor_class
 from carryideals.ideals import MonomialIdeal, NotInvariantError, carry_ideal, ideal_from_labels
 from carryideals.koszul import koszul_betti, regularity
 from carryideals.twovars import betti_formula
 from oracles import (
     char_dim,
     char_from_monomials,
+    char_sum,
     class_dimension,
     compositions,
+    decompose_character,
     degree_character,
+    oracle_tor_class,
     quotient_character,
     rebuild_character,
+    simple_character,
     simple_dimension,
     strand_tor_class,
 )
@@ -125,6 +123,24 @@ def test_tor_class_matches_strand_oracle():
                         assert tor_class(ideal, i, j) == strand_tor_class(ideal, i, j)
                         checked += 1
     assert checked == 1016
+
+
+def test_tor_class_matches_koszul_peel_oracle():
+    # every position 0..3 and internal degree up to regularity + 3 of 100
+    # seeded sums of one to three two-variable carry ideals
+    rng = random.Random(26)
+    nonzero = 0
+    for _ in range(100):
+        p = rng.choice((2, 3, 5, 7))
+        degrees = rng.sample(range(1, 51), rng.randint(1, 3))
+        labels = [(rng.choice(enumerate_patterns(Context(2, p, d))), d) for d in degrees]
+        ideal = ideal_from_labels(labels, 2, p)
+        for j in range(regularity(ideal) + 4):
+            for i in range(4):
+                cls = tor_class(ideal, i, j)
+                assert cls == oracle_tor_class(ideal, i, j), (labels, p, i, j)
+                nonzero += bool(cls)
+    assert nonzero == 343
 
 
 def _sums_in_several_degrees(seed, count):

@@ -388,7 +388,7 @@ def test_saturation_properties():
 
 def test_text_round_trip():
     ideal = ideal_from_labels(SIX_LABELS, 2, 2)
-    text = ideal_to_text(ideal)
+    text = ideal_to_text(ideal.generators, ideal.n, ideal.p)
     assert text.splitlines()[0] == "ring n=2 p=2"
     assert ideal_from_text(text) == ideal
     scrambled = "ring n=2 p=2\n0 8\n8 0\n3 7\n7 3\n4 5\n5 4\n"
@@ -401,11 +401,13 @@ def test_text_round_trip():
         ideal_from_text("ring p=3\n1 1\n")
     with pytest.raises(ValueError, match="expected key=value"):
         ideal_from_text("ring n=2 3\n1 1\n")
+    with pytest.raises(ValueError, match="ring header has a non-integer p= field: '2x'"):
+        ideal_from_text("ring n=2 p=2x\n1 1\n")
 
 
 def test_json_round_trip():
     ideal = carry_ideal((2, 0), 35, 3, 5)
-    obj = json.loads(json.dumps(ideal_to_json(ideal)))
+    obj = json.loads(json.dumps(ideal_to_json(ideal.generators, ideal.n, ideal.p)))
     assert MonomialIdeal(obj["generators"], obj["n"], obj["p"]) == ideal
 
 

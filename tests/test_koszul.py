@@ -14,10 +14,16 @@ from carryideals.koszul import (
     projective_dimension,
     quotient_basis,
     regularity,
-    top_corner,
 )
 from carryideals.twovars import betti_formula
-from oracles import block_betti, compositions, minor_rank, rank_mod_p, strand_betti
+from oracles import (
+    block_betti,
+    compositions,
+    minor_rank,
+    rank_mod_p,
+    strand_betti,
+    top_corner,
+)
 
 QUARTIC_TABLE = {
     (0, 0): 1,

@@ -8,14 +8,19 @@ from carryideals.twovars import (
     betti_formula,
     generators_by_segmentation,
     hilbert_burch,
-    is_generator_exponent,
     is_simple_degree,
     pure_power_certificate,
     regularity_formula,
     segmentation,
     syzygy_offsets,
 )
-from oracles import poly_det, poly_mul, syzygy_degrees, two_var_patterns
+from oracles import (
+    is_generator_exponent,
+    poly_det,
+    poly_mul,
+    syzygy_degrees,
+    two_var_patterns,
+)
 
 BIG = ((1, 1, 0, 1, 0, 0), 62102, 5)
 SMALL = ((1, 0, 1), 30, 3)
