@@ -43,6 +43,7 @@ from .ideals import (
     power,
     product,
 )
+from .gl2 import tor_class
 from .koszul import (
     koszul_betti,
     multigraded_betti,
@@ -53,7 +54,6 @@ from .koszul import (
 from .multmap import carry_after_multiply, contains, first_slack_column, successor
 from .twovars import (
     betti_formula,
-    generators_by_segmentation,
     hilbert_burch,
     is_simple_degree,
     pure_power_certificate,

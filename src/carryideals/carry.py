@@ -38,6 +38,9 @@ class Context:
         if not isinstance(self.d, int) or self.d < 0:
             raise ValueError(f"degree must be nonnegative, got d={self.d}")
 
+    def __str__(self):
+        return f"n={self.n} p={self.p} d={self.d}"
+
     # cached_property stores into the instance dict, which a frozen
     # dataclass allows; equality and hashing still see only n, p and d
     @cached_property

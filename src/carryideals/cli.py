@@ -4,9 +4,10 @@ Subcommands: enumerate, carry, decompose, compose, generators, betti, reg,
 contains, invariant, purity, torclass. Ideal files use the line-oriented
 text format (header "ring n=<n> p=<p>", one generator per line); labels are
 inline strings like "n=2 p=5 d=25 c=(0,1)". Every subcommand accepts --json.
-betti and reg answer a two-variable --label by the closed formulas unless
---koszul asks for the homology computation, which handles ideal files and
-any number of variables.
+betti and reg answer a two-variable --label by the closed formulas and
+anything else, an ideal file or a label in any number of variables, by the
+Koszul homology computation; --koszul takes that route for a two-variable
+label too, as a cross-check.
 """
 
 import argparse
@@ -133,17 +134,13 @@ def _cmd_compose(args):
     return 0
 
 
-def _two_var_generators(seg):
-    """The minimal generators of a two-variable carry ideal in canonical
-    order, read off its segmentation."""
-    return [(a, seg.d - a) for a in reversed(twovars.generator_exponents(seg))]
-
-
 def _cmd_generators(args):
     n, p, d, c = _parse_label(args.label)
     if n == 2:
         seg = twovars.segmentation(c, d, p)
-        gens, factors = _two_var_generators(seg), twovars.generator_factors(seg)
+        gens, factors = twovars.generators(seg), twovars.generator_factors(seg)
+    elif args.factored:
+        raise ValueError("--factored is available for two variables only")
     else:
         gens, factors = carry_ideal(c, d, n, p).generators, None
     if args.json:
@@ -151,10 +148,7 @@ def _cmd_generators(args):
         if factors is not None:
             obj["factors"] = [list(f) for f in factors]
         _emit(obj)
-        return 0
-    if args.factored:
-        if factors is None:
-            raise ValueError("--factored is available for two variables only")
+    elif args.factored:
         print(twovars.format_factors(factors, p))
     else:
         sys.stdout.write(ideal_to_text(gens, n, p))
@@ -173,52 +167,38 @@ def _resolve_input(args):
     return ideal, None, ideal.n, ideal.p
 
 
+def _route(args):
+    """The route of betti and reg, taken from the input: ("formula", (c, d,
+    p)) for a two-variable --label without --koszul, else ("koszul", ideal)."""
+    ideal, label, n, p = _resolve_input(args)
+    if ideal is not None:
+        return "koszul", ideal
+    if n == 2 and not args.koszul:
+        return "formula", (*label, p)
+    return "koszul", carry_ideal(*label, n, p)
+
+
 def _cmd_betti(args):
     if args.max_degree is not None and args.max_degree < 0:
         raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
-    ideal, label, n, p = _resolve_input(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "formula" if (label is not None and n == 2) else "koszul"
-    tables = {}
-    if mode in ("formula", "both"):
-        if n != 2 or label is None:
-            raise ValueError("--formula needs a two-variable label")
-        table = twovars.betti_formula(label[0], label[1], p)
+    route, arg = _route(args)
+    if route == "formula":
+        table = twovars.betti_formula(*arg)
         if args.max_degree is not None:
             kept = {k: v for k, v in table.entries.items() if k[1] <= args.max_degree}
             table = BettiTable(kept, table.n)
-        tables["formula"] = table
-    if mode in ("koszul", "both"):
-        if ideal is None:
-            ideal = carry_ideal(label[0], label[1], n, p)
-        tables["koszul"] = koszul.koszul_betti(ideal, max_degree=args.max_degree)
-    if args.json:
-        _emit({name: t.to_json() for name, t in tables.items()})
     else:
-        for name, t in tables.items():
-            if len(tables) > 1:
-                print(f"[{name}]")
-            print(t.to_grid())
-    if len(tables) == 2 and tables["formula"] != tables["koszul"]:
-        print("mismatch between formula and koszul tables", file=sys.stderr)
-        return 1
+        table = koszul.koszul_betti(arg, max_degree=args.max_degree)
+    if args.json:
+        _emit({route: table.to_json()})
+    else:
+        print(table.to_grid())
     return 0
 
 
 def _cmd_reg(args):
-    ideal, label, n, p = _resolve_input(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "formula" if (label is not None and n == 2) else "koszul"
-    if mode == "formula":
-        if n != 2 or label is None:
-            raise ValueError("--formula needs a two-variable label")
-        value = twovars.regularity_formula(label[0], label[1], p)
-    else:
-        if ideal is None:
-            ideal = carry_ideal(label[0], label[1], n, p)
-        value = koszul.regularity(ideal)
+    route, arg = _route(args)
+    value = twovars.regularity_formula(*arg) if route == "formula" else koszul.regularity(arg)
     if args.json:
         _emit({"regularity": value})
     else:
@@ -267,10 +247,10 @@ def _cmd_purity(args):
     if ideal is not None:
         cert = twovars.pure_power_certificate(ideal)
     elif n == 2:
-        gens = _two_var_generators(twovars.segmentation(*label, p))
+        gens = twovars.generators(twovars.segmentation(*label, p))
         cert = twovars.pure_power_of_generators(gens, p)
     else:
-        cert = twovars.pure_power_certificate(carry_ideal(label[0], label[1], n, p))
+        raise ValueError("purity test handles two-variable ideals only")
     if args.json:
         obj = {"pure": cert is not None}
         if cert:
@@ -285,11 +265,10 @@ def _cmd_purity(args):
 
 def _cmd_torclass(args):
     n, p, d, c = _parse_label(args.label)
-    if n == 2:
-        gens = _two_var_generators(twovars.segmentation(c, d, p))
-        cls = gl2.tor_class_of_generators(gens, p, args.i, args.j)
-    else:
-        cls = gl2.tor_class(carry_ideal(c, d, n, p), args.i, args.j)
+    if n != 2:
+        raise ValueError("tor classes are computed for two variables only")
+    gens = twovars.generators(twovars.segmentation(c, d, p))
+    cls = gl2.tor_class_of_generators(gens, p, args.i, args.j)
     if args.json:
         _emit({"class": [[list(lam), mult] for lam, mult in sorted(cls.items())]})
     else:
@@ -344,20 +323,11 @@ def _build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("ideal", nargs="?", help="ideal file, or - for stdin")
         sp.add_argument("--label")
-        group = sp.add_mutually_exclusive_group()
-        group.add_argument(
-            "--formula", dest="mode", action="store_const", const="formula"
-        )
-        group.add_argument(
-            "--koszul", dest="mode", action="store_const", const="koszul"
-        )
+        sp.add_argument("--koszul", action="store_true")
         if name == "betti":
-            group.add_argument(
-                "--both", dest="mode", action="store_const", const="both"
-            )
             sp.add_argument("--max-degree", type=int, default=None)
         sp.add_argument("--json", action="store_true")
-        sp.set_defaults(fn=fn, mode="auto")
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("contains", help="containment between two carry ideals")
     sp.add_argument("-n", type=int, required=True)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .basep import full_run, top_index, value_of
 from .betti import BettiTable
 from .carry import Context, is_valid_pattern
-from .ideals import MonomialIdeal
 
 
 def is_simple_degree(d, p):
@@ -65,29 +64,19 @@ def segmentation(c, d, p):
     return Segmentation(c, d, p, tuple(cuts[:-1]), segments, contents)
 
 
-def generator_exponents(seg):
-    """All x-exponents of minimal generators: sums w_r p^{t_r}, 0 <= w_r <= content_r."""
+def generators(seg):
+    """The minimal generators x^a y^(d-a) in canonical order (a descending),
+    where a runs over the sums w_r p^{t_r} with 0 <= w_r <= content_r."""
     exps = [0]
     for t, cont in zip(seg.cut_points, seg.contents):
         step = seg.p**t
         exps = [a + w * step for a in exps for w in range(cont + 1)]
-    return sorted(exps)
+    return [(a, seg.d - a) for a in sorted(exps, reverse=True)]
 
 
 def generator_factors(seg):
     """The factorization data: (power of the maximal ideal, Frobenius exponent) pairs."""
     return tuple(zip(seg.contents, seg.cut_points))
-
-
-def generators_by_segmentation(c, d, p):
-    """The carry ideal of (c, d) built from the segmentation, with its factorization.
-
-    Returns (ideal, factors) where factors lists (m_r, t_r) meaning the
-    product of the p^{t_r}-th Frobenius powers of the m_r-th powers of <x, y>.
-    """
-    seg = segmentation(c, d, p)
-    gens = [(a, d - a) for a in generator_exponents(seg)]
-    return MonomialIdeal(gens, 2, p), generator_factors(seg)
 
 
 def format_factors(factors, p):

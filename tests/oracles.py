@@ -10,7 +10,6 @@ multigraded Betti numbers) to check others.
 """
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 from carryideals.basep import check_prime, expand, top_index
@@ -159,25 +158,6 @@ def minor_rank(rows, p):
                 if det_mod(sub, p) != 0:
                     return size
     return 0
-
-
-def rational_rank(rows):
-    """Rank over the rationals, by exact fraction elimination."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col] / prow[col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
-        rank += 1
-    return rank
 
 
 # --- polynomial helpers for resolution checks (two variables) ---------------

@@ -32,8 +32,10 @@ from carryideals.koszul import koszul_betti, projective_dimension, quotient_basi
 from carryideals.multmap import carry_after_multiply, successor
 from carryideals.twovars import (
     betti_formula,
-    generators_by_segmentation,
+    generator_factors,
+    generators,
     regularity_formula,
+    segmentation,
 )
 from oracles import (
     class_dimension,
@@ -185,15 +187,16 @@ def test_criterion_06_multiplication_map():
 
 def test_criterion_07_two_variable_generators():
     with verdict(7, "two-variable generator formula"):
-        ideal, factors = generators_by_segmentation((1, 1, 0, 1, 0, 0), 62102, 5)
+        factors = generator_factors(segmentation((1, 1, 0, 1, 0, 0), 62102, 5))
         assert factors == ((102, 0), (21, 3), (19, 5))
-        _, factors30 = generators_by_segmentation((1, 0, 1), 30, 3)
+        factors30 = generator_factors(segmentation((1, 0, 1), 30, 3))
         assert factors30 == ((3, 0), (3, 2))
         for p in (2, 3, 5):
             for d in range(1, 501):
                 for c in enumerate_patterns(Context(2, p, d)):
-                    fast, _ = generators_by_segmentation(c, d, p)
-                    assert fast == carry_ideal(c, d, 2, p)
+                    # the shipped list, order included
+                    fast = generators(segmentation(c, d, p))
+                    assert fast == list(carry_ideal(c, d, 2, p).generators)
 
 
 def test_criterion_08_betti_and_regularity():
@@ -215,7 +218,7 @@ def test_criterion_08_betti_and_regularity():
         for p in (2, 3, 5):
             for d in range(2, 301):
                 for c in enumerate_patterns(Context(2, p, d)):
-                    ideal, _ = generators_by_segmentation(c, d, p)
+                    ideal = MonomialIdeal(generators(segmentation(c, d, p)), 2, p)
                     if len(ideal.generators) < 2:
                         continue
                     table = betti_formula(c, d, p)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -86,8 +87,7 @@ def test_generators(capsys):
 
 def test_betti_formula(capsys):
     code, out, _ = run(
-        capsys, "betti", "--label", "p=5 d=62102 c=(1,1,0,1,0,0)", "--formula",
-        "--json",
+        capsys, "betti", "--label", "p=5 d=62102 c=(1,1,0,1,0,0)", "--json"
     )
     assert code == 0
     data = json.loads(out)
@@ -98,28 +98,30 @@ def test_betti_formula(capsys):
     assert entries[(2, 62500)] == 19
 
 
-def test_betti_both_agree(capsys):
-    code, out, _ = run(
-        capsys, "betti", "--label", "p=3 d=30 c=(1,0,1)", "--both"
-    )
-    assert code == 0
-    assert "[formula]" in out and "[koszul]" in out
+def test_betti_truncated(capsys):
+    cases = [
+        (3, [[0, 0, 1]]),
+        (25, [[0, 0, 1], [1, 25, 6]]),
+        (30, [[0, 0, 1], [1, 25, 6], [2, 30, 5]]),
+    ]
+    for route, flags in (("formula", ()), ("koszul", ("--koszul",))):
+        for max_degree, entries in cases:
+            code, out, err = run(
+                capsys, "betti", "--label", "n=2 p=5 d=25 c=(0,1)", *flags,
+                "--max-degree", str(max_degree), "--json",
+            )
+            assert code == 0 and err == ""
+            assert json.loads(out) == {route: {"n": 2, "entries": entries}}
 
 
-@pytest.mark.parametrize("max_degree, entries", [
-    (3, [[0, 0, 1]]),
-    (25, [[0, 0, 1], [1, 25, 6]]),
-    (30, [[0, 0, 1], [1, 25, 6], [2, 30, 5]]),
-])
-def test_betti_both_truncated(capsys, max_degree, entries):
-    code, out, err = run(
-        capsys, "betti", "--label", "n=2 p=5 d=25 c=(0,1)", "--both",
-        "--max-degree", str(max_degree), "--json",
-    )
-    assert code == 0 and err == ""
-    data = json.loads(out)
-    assert data["formula"]["entries"] == entries
-    assert data["koszul"]["entries"] == entries
+@pytest.mark.parametrize("command", ["betti", "reg"])
+@pytest.mark.parametrize("flag", ["--formula", "--both"])
+def test_betti_reg_route_flags_are_gone(capsys, command, flag):
+    # the route follows from the input; --koszul is the only selector
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--label", "n=2 p=5 d=25 c=(0,1)", flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_betti_negative_max_degree(capsys):
@@ -221,6 +223,37 @@ def test_error_exit_code(capsys):
     code, _, err = run(capsys, "generators", "--label", "p=5 d=25 c=(2,1)")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["generators", "--label", "n=3 p=3 d=9 c=(5,1)"],
+         "error: (5, 1) is not a carry pattern for n=3 p=3 d=9\n"),
+        (["contains", "-n", "2", "-p", "5", "--outer", "d=25 c=(5,1)",
+          "--inner", "d=26 c=(0,1)"],
+         "error: (5, 1) is not a carry pattern for n=2 p=5 d=25\n"),
+    ],
+)
+def test_bad_pattern_message(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["torclass", "-i", "1", "-j", "240"], "tor classes are computed for two variables only"),
+        (["purity"], "purity test handles two-variable ideals only"),
+        (["generators", "--factored"], "--factored is available for two variables only"),
+        (["generators", "--factored", "--json"], "--factored is available for two variables only"),
+    ],
+)
+def test_two_variable_only_refused_before_building(capsys, argv, err):
+    # the carry ideal of this label takes seconds to build
+    start = time.monotonic()
+    result = run(capsys, *argv, "--label", "n=4 p=3 d=240 c=(2,2,2,2)")
+    assert time.monotonic() - start < 0.5
+    assert result == (2, "", f"error: {err}\n")
 
 
 

@@ -6,7 +6,8 @@ from carryideals.carry import Context, carry_pattern, enumerate_patterns, leq
 from carryideals.ideals import MonomialIdeal, carry_ideal
 from carryideals.twovars import (
     betti_formula,
-    generators_by_segmentation,
+    generator_factors,
+    generators,
     hilbert_burch,
     is_simple_degree,
     pure_power_certificate,
@@ -76,27 +77,28 @@ def test_segmentation_of_zero_pattern():
 
 def test_segmentation_needs_positive_degree():
     # the unit ideal is not a carry ideal; every formula goes through here
-    for fn in (segmentation, betti_formula, regularity_formula, generators_by_segmentation):
+    for fn in (segmentation, betti_formula, regularity_formula):
         with pytest.raises(ValueError, match="positive degree"):
             fn((), 0, 2)
 
 
 def test_generator_formula_fixtures():
-    ideal, factors = generators_by_segmentation(*BIG)
-    assert factors == ((102, 0), (21, 3), (19, 5))
-    assert len(ideal.generators) == 45320
-    ideal30, factors30 = generators_by_segmentation(*SMALL)
-    assert factors30 == ((3, 0), (3, 2))
-    assert len(ideal30.generators) == 16
-    assert ideal30 == carry_ideal((1, 0, 1), 30, 2, 3)
+    seg = segmentation(*BIG)
+    assert generator_factors(seg) == ((102, 0), (21, 3), (19, 5))
+    assert len(generators(seg)) == 45320
+    seg30 = segmentation(*SMALL)
+    assert generator_factors(seg30) == ((3, 0), (3, 2))
+    assert generators(seg30) == list(carry_ideal((1, 0, 1), 30, 2, 3).generators)
+    assert len(generators(seg30)) == 16
 
 
 def test_generator_formula_against_naive():
     for p in (2, 3, 5):
         for d in range(1, 61):
             for c in enumerate_patterns(Context(2, p, d)):
-                fast, _ = generators_by_segmentation(c, d, p)
-                assert fast == carry_ideal(c, d, 2, p)
+                # as a list: the order is the canonical one of MonomialIdeal
+                fast = generators(segmentation(c, d, p))
+                assert fast == list(carry_ideal(c, d, 2, p).generators)
 
 
 def test_generator_exponent_membership():
@@ -192,7 +194,7 @@ def test_betti_against_hilbert_burch_gaps():
     for p in (2, 3, 5):
         for d in range(2, 81):
             for c in enumerate_patterns(Context(2, p, d)):
-                ideal, _ = generators_by_segmentation(c, d, p)
+                ideal = MonomialIdeal(generators(segmentation(c, d, p)), 2, p)
                 if len(ideal.generators) < 2:
                     continue
                 table = betti_formula(c, d, p)
