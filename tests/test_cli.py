@@ -98,20 +98,20 @@ def test_betti_formula(capsys):
     assert entries[(2, 62500)] == 19
 
 
-def test_betti_truncated(capsys):
-    cases = [
-        (3, [[0, 0, 1]]),
-        (25, [[0, 0, 1], [1, 25, 6]]),
-        (30, [[0, 0, 1], [1, 25, 6], [2, 30, 5]]),
-    ]
+@pytest.mark.parametrize("max_degree, entries", [
+    (3, [[0, 0, 1]]),
+    (25, [[0, 0, 1], [1, 25, 6]]),
+    (30, [[0, 0, 1], [1, 25, 6], [2, 30, 5]]),
+])
+def test_betti_both_truncated(capsys, max_degree, entries):
+    # the default (formula) route and --koszul truncate alike
     for route, flags in (("formula", ()), ("koszul", ("--koszul",))):
-        for max_degree, entries in cases:
-            code, out, err = run(
-                capsys, "betti", "--label", "n=2 p=5 d=25 c=(0,1)", *flags,
-                "--max-degree", str(max_degree), "--json",
-            )
-            assert code == 0 and err == ""
-            assert json.loads(out) == {route: {"n": 2, "entries": entries}}
+        code, out, err = run(
+            capsys, "betti", "--label", "n=2 p=5 d=25 c=(0,1)", *flags,
+            "--max-degree", str(max_degree), "--json",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out) == {route: {"n": 2, "entries": entries}}
 
 
 @pytest.mark.parametrize("command", ["betti", "reg"])
