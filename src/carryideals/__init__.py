@@ -6,6 +6,9 @@ char k = p > 0: carry patterns of monomials and their lattices, carry ideals
 and decompositions of invariant ideals, growth under multiplication by linear
 forms, closed-form generators, Betti numbers and Grothendieck classes of the
 Tor spaces in two variables, and homological invariants over F_p for any n.
+Every text format (patterns, ideal files, labels) lives in the command-line
+interface, carryideals.cli; the only text an algebra object writes is
+BettiTable's grid and JSON.
 """
 
 from .basep import (

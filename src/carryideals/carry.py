@@ -260,29 +260,3 @@ def cover_edges(ctx):
         for high in pats
         for low in maximal_elements(c for c in pats if c != high and leq(c, high))
     )
-
-
-def format_pattern(c):
-    return "(" + ",".join(str(x) for x in c) + ")"
-
-
-def parse_pattern(text):
-    text = text.strip()
-    inner = text[1:-1].strip()
-    try:
-        if text[:1] == "(" and text[-1:] == ")":
-            return tuple(int(tok) for tok in inner.split(",")) if inner else ()
-    except ValueError:
-        pass
-    raise ValueError(f"expected a pattern like (0,1), got {text!r}")
-
-
-def hasse_dot(ctx):
-    """DOT source for the Hasse diagram of the pattern lattice."""
-    lines = ["graph carry_lattice {"]
-    for c in enumerate_patterns(ctx):
-        lines.append(f'  "{format_pattern(c)}";')
-    for low, high in cover_edges(ctx):
-        lines.append(f'  "{format_pattern(low)}" -- "{format_pattern(high)}";')
-    lines.append("}")
-    return "\n".join(lines)

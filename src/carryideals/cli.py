@@ -1,13 +1,19 @@
-"""Command-line interface.
+"""Command-line interface, and the text formats of the package.
 
 Subcommands: enumerate, carry, decompose, compose, generators, betti, reg,
-contains, invariant, purity, torclass. Ideal files use the line-oriented
-text format (header "ring n=<n> p=<p>", one generator per line); labels are
-inline strings like "n=2 p=5 d=25 c=(0,1)". Every subcommand accepts --json.
+contains, invariant, purity, torclass. Every subcommand accepts --json.
 betti and reg answer a two-variable --label by the closed formulas and
 anything else, an ideal file or a label in any number of variables, by the
 Koszul homology computation; --koszul takes that route for a two-variable
 label too, as a cross-check.
+
+The algebra modules read and write no text (BettiTable's grid and JSON
+aside); this module owns the formats. Patterns are written "(c1,...,cM)".
+An ideal file is a header "ring n=<n> p=<p>" and one generator per line as
+space-separated exponents. A label is a line of key=value fields such as
+"n=2 p=5 d=25 c=(0,1)", read by parse_label alone, whether it comes from
+--label, -l, --outer, --inner or a line of a --labels-file; a key may not
+repeat.
 """
 
 import argparse
@@ -17,55 +23,141 @@ from functools import lru_cache
 
 from . import gl2, koszul, multmap, twovars
 from .betti import BettiTable
-from .carry import (
-    Context,
-    carry_pattern,
-    enumerate_patterns,
-    format_pattern,
-    hasse_dot,
-    parse_pattern,
-)
+from .carry import Context, carry_pattern, cover_edges, enumerate_patterns
 from .ideals import (
-    _fields,
-    _int_value,
+    MonomialIdeal,
     carry_ideal,
     decompose,
     ideal_from_labels,
-    ideal_from_text,
-    ideal_to_json,
-    ideal_to_text,
     invariance_witness,
-    labels_from_text,
-    labels_to_json,
-    labels_to_text,
 )
 
-
-def _parse_label(text):
-    """(n, p, d, c) of a label like "n=2 p=5 d=25 c=(0,1)"; n defaults to 2."""
-    what = f"label {text!r}"
-    fields = {"n": "2", **_fields(text.split(), what, ("p", "d", "c"))}
-    n, p, d = (_int_value(fields[key], key, what) for key in ("n", "p", "d"))
-    return n, p, d, parse_pattern(fields["c"])
+# ---------------------------------------------------------------------------
+# text formats
 
 
-def _labels(text, n, p):
-    """Labels from "d=<d> c=(...)" lines; an n= or p= field must agree with -n/-p."""
-    labels = labels_from_text(text)
-    flags = {"n": n, "p": p}
-    for ln in text.splitlines():
-        for key, _, val in (tok.partition("=") for tok in ln.split()):
-            if key in flags and _int_value(val, key, f"label {ln.strip()!r}") != flags[key]:
-                raise ValueError(f"label field {key}={val} contradicts -{key} {flags[key]}")
-    return labels
+def format_pattern(c):
+    return "(" + ",".join(str(x) for x in c) + ")"
 
 
-def _one_label(text, n, p):
-    """The (pattern, degree) of a "d=<d> c=(...)" argument."""
-    labels = _labels(text, n, p)
-    if len(labels) != 1:
-        raise ValueError(f"expected one label like 'd=8 c=(0,0,0)', got {text!r}")
-    return labels[0]
+def parse_pattern(text):
+    text = text.strip()
+    inner = text[1:-1].strip()
+    try:
+        if text[:1] == "(" and text[-1:] == ")":
+            return tuple(int(tok) for tok in inner.split(",")) if inner else ()
+    except ValueError:
+        pass
+    raise ValueError(f"expected a pattern like (0,1), got {text!r}")
+
+
+def hasse_dot(ctx):
+    """DOT source for the Hasse diagram of the pattern lattice."""
+    lines = ["graph carry_lattice {"]
+    for c in enumerate_patterns(ctx):
+        lines.append(f'  "{format_pattern(c)}";')
+    for low, high in cover_edges(ctx):
+        lines.append(f'  "{format_pattern(low)}" -- "{format_pattern(high)}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _fields(tokens, what, required):
+    """key=value tokens as a dict; no key may repeat, and every key in
+    required must be present."""
+    fields = {}
+    for tok in tokens:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"bad token {tok!r} in {what}: expected key=value")
+        if key in fields:
+            raise ValueError(f"{what} repeats the {key}= field")
+        fields[key] = val
+    for key in required:
+        if key not in fields:
+            raise ValueError(f"{what} has no {key}= field")
+    return fields
+
+
+def _int_value(val, what, field):
+    """The integer val, read from the named field of what."""
+    try:
+        return int(val)
+    except ValueError:
+        raise ValueError(f"{what} has a non-integer {field}: {val!r}") from None
+
+
+def _exponents(tokens, what):
+    return tuple(_int_value(tok, what, "exponent") for tok in tokens)
+
+
+def parse_label(text, n=None, p=None):
+    """(c, d, n, p) of a label like "n=2 p=5 d=25 c=(0,1)".
+
+    A given n or p (the -n and -p of compose and contains) fills a missing
+    field and must agree with a present one; n defaults to 2. Other keys
+    are ignored.
+    """
+    what = f"label {text.strip()!r}"
+    required = ("d", "c") if p is not None else ("p", "d", "c")
+    fields = _fields(text.split(), what, required)
+    ring = {"n": 2 if n is None else n, "p": p}
+    for key, given in (("n", n), ("p", p)):
+        if key in fields:
+            ring[key] = _int_value(fields[key], what, f"{key}= field")
+            if given is not None and ring[key] != given:
+                raise ValueError(
+                    f"label field {key}={fields[key]} contradicts -{key} {given}"
+                )
+    d = _int_value(fields["d"], what, "d= field")
+    return parse_pattern(fields["c"]), d, ring["n"], ring["p"]
+
+
+def labels_from_text(text, n=None, p=None):
+    """The (c, d) labels of the nonblank lines of a labels file."""
+    return [parse_label(ln, n, p)[:2] for ln in text.splitlines() if ln.strip()]
+
+
+def labels_to_text(labels):
+    return "\n".join(f"d={d} c={format_pattern(c)}" for c, d in labels) + "\n"
+
+
+def ideal_from_text(text):
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("ring"):
+        raise ValueError("ideal text must start with a 'ring n=<n> p=<p>' header")
+    what = "the ring header"
+    fields = _fields(lines[0].split()[1:], what, ("n", "p"))
+    n, p = (_int_value(fields[key], what, f"{key}= field") for key in ("n", "p"))
+    gens = [_exponents(ln.split(), f"generator line {ln!r}") for ln in lines[1:]]
+    return MonomialIdeal(gens, n, p)
+
+
+def ideal_to_text(generators, n, p):
+    """The text format of the ideal with these minimal generators, in order."""
+    lines = [f"ring n={n} p={p}"]
+    lines.extend(" ".join(str(x) for x in g) for g in generators)
+    return "\n".join(lines) + "\n"
+
+
+def ideal_to_json(generators, n, p):
+    return {"n": n, "p": p, "generators": [list(g) for g in generators]}
+
+
+def format_factors(factors, p):
+    """(m^a)^[p^t] factors of two-variable generators, from (a, t) pairs."""
+    parts = [f"m^{a}" if t == 0 else f"(m^{a})^[{p**t}]" for a, t in factors if a]
+    return " ".join(parts) or "m^0"
+
+
+def format_class(cls):
+    """A Grothendieck class {lam: multiplicity} as a sum of simples L(lam)."""
+    parts = [f"{cls[lam]}*L({lam[0]},{lam[1]})" for lam in sorted(cls, reverse=True)]
+    return " + ".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
+# subcommands
 
 
 def _read_ideal(path):
@@ -100,7 +192,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_carry(args):
-    exponents = tuple(int(tok) for tok in args.exponents.split(","))
+    exponents = _exponents(args.exponents.split(","), f"-b {args.exponents!r}")
     c = carry_pattern(exponents, args.p)
     if args.json:
         _emit({"p": args.p, "exponents": list(exponents), "carry": list(c)})
@@ -113,17 +205,18 @@ def _cmd_decompose(args):
     ideal = _read_ideal(args.ideal)
     labels = decompose(ideal)
     if args.json:
-        _emit(labels_to_json(labels, ideal.n, ideal.p))
+        rows = [{"d": d, "c": list(c)} for c, d in labels]
+        _emit({"n": ideal.n, "p": ideal.p, "labels": rows})
     else:
         sys.stdout.write(labels_to_text(labels))
     return 0
 
 
 def _cmd_compose(args):
-    labels = [_one_label(item, args.n, args.p) for item in args.label or []]
+    labels = [parse_label(item, args.n, args.p)[:2] for item in args.label or []]
     if args.labels_file:
         with open(args.labels_file, encoding="utf-8") as fh:
-            labels.extend(_labels(fh.read(), args.n, args.p))
+            labels.extend(labels_from_text(fh.read(), args.n, args.p))
     if not labels:
         raise ValueError("compose needs at least one -l/--label or --labels-file")
     ideal = ideal_from_labels(labels, args.n, args.p)
@@ -135,7 +228,7 @@ def _cmd_compose(args):
 
 
 def _cmd_generators(args):
-    n, p, d, c = _parse_label(args.label)
+    c, d, n, p = parse_label(args.label)
     if n == 2:
         seg = twovars.segmentation(c, d, p)
         gens, factors = twovars.generators(seg), twovars.generator_factors(seg)
@@ -149,7 +242,7 @@ def _cmd_generators(args):
             obj["factors"] = [list(f) for f in factors]
         _emit(obj)
     elif args.factored:
-        print(twovars.format_factors(factors, p))
+        print(format_factors(factors, p))
     else:
         sys.stdout.write(ideal_to_text(gens, n, p))
     return 0
@@ -159,7 +252,7 @@ def _resolve_input(args):
     """The ideal file or --label of betti, reg and purity, as
     (ideal_or_None, label_or_None, n, p)."""
     if args.label:
-        n, p, d, c = _parse_label(args.label)
+        c, d, n, p = parse_label(args.label)
         return None, (c, d), n, p
     if not args.ideal:
         raise ValueError("give a --label or an ideal file")
@@ -207,8 +300,8 @@ def _cmd_reg(args):
 
 
 def _cmd_contains(args):
-    c, d = _one_label(args.outer, args.n, args.p)
-    c2, d2 = _one_label(args.inner, args.n, args.p)
+    c, d = parse_label(args.outer, args.n, args.p)[:2]
+    c2, d2 = parse_label(args.inner, args.n, args.p)[:2]
     verdict = multmap.contains(c, d, c2, d2, args.n, args.p)
     if args.json:
         _emit({"contains": verdict})
@@ -264,7 +357,7 @@ def _cmd_purity(args):
 
 
 def _cmd_torclass(args):
-    n, p, d, c = _parse_label(args.label)
+    c, d, n, p = parse_label(args.label)
     if n != 2:
         raise ValueError("tor classes are computed for two variables only")
     gens = twovars.generators(twovars.segmentation(c, d, p))
@@ -272,7 +365,7 @@ def _cmd_torclass(args):
     if args.json:
         _emit({"class": [[list(lam), mult] for lam, mult in sorted(cls.items())]})
     else:
-        print(gl2.format_class(cls))
+        print(format_class(cls))
     return 0
 
 

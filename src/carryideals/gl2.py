@@ -43,13 +43,3 @@ def tor_class_of_generators(generators, p, i, j):
         c = carry_pattern(m, p)
         tops[c] = max(tops.get(c, m), m)
     return {(a + twist, b + twist): 1 for a, b in tops.values()}
-
-
-def format_class(cls):
-    if not cls:
-        return "0"
-    parts = []
-    for lam in sorted(cls, reverse=True):
-        mult = cls[lam]
-        parts.append(f"{mult}*L({lam[0]},{lam[1]})")
-    return " + ".join(parts)

@@ -8,6 +8,8 @@ of the graded pieces, decomposes an invariant ideal into an irredundant sum
 of carry ideals, and implements products, powers and Frobenius powers.
 
 Ideals here are proper and nonzero: at least one generator, never the unit.
+The module reads and writes no text: the ideal file and label formats live
+in the command-line interface (cli).
 """
 
 from functools import lru_cache
@@ -19,12 +21,10 @@ from .carry import (
     Context,
     carry_pattern,
     enumerate_patterns,
-    format_pattern,
     leq,
     maximal_elements,
     monomials_of_pattern,
     monomials_with_carry_leq,
-    parse_pattern,
 )
 
 
@@ -267,74 +267,3 @@ def frobenius_label(c, d, e, p):
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"frobenius power wants e >= 1, got {e!r}")
     return ((0,) * e + tuple(c), d * p**e)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def ideal_to_text(generators, n, p):
-    """The text format of the ideal with these minimal generators, in order."""
-    lines = [f"ring n={n} p={p}"]
-    lines.extend(" ".join(str(x) for x in g) for g in generators)
-    return "\n".join(lines) + "\n"
-
-
-def _fields(tokens, what, required):
-    """key=value tokens as a dict; every key in required must be present."""
-    fields = {}
-    for tok in tokens:
-        key, eq, val = tok.partition("=")
-        if not eq:
-            raise ValueError(f"bad token {tok!r} in {what}: expected key=value")
-        fields[key] = val
-    for key in required:
-        if key not in fields:
-            raise ValueError(f"{what} has no {key}= field")
-    return fields
-
-
-def _int_value(val, key, what):
-    """The integer value val of the key= field of what."""
-    try:
-        return int(val)
-    except ValueError:
-        raise ValueError(f"{what} has a non-integer {key}= field: {val!r}") from None
-
-
-def ideal_from_text(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("ring"):
-        raise ValueError("ideal text must start with a 'ring n=<n> p=<p>' header")
-    what = "the ring header"
-    fields = _fields(lines[0].split()[1:], what, ("n", "p"))
-    n, p = (_int_value(fields[key], key, what) for key in ("n", "p"))
-    gens = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
-    return MonomialIdeal(gens, n, p)
-
-
-def ideal_to_json(generators, n, p):
-    return {"n": n, "p": p, "generators": [list(g) for g in generators]}
-
-
-def labels_to_text(labels):
-    return "\n".join(f"d={d} c={format_pattern(c)}" for c, d in labels) + "\n"
-
-
-def labels_from_text(text):
-    """Labels from lines like "d=25 c=(0,1)"; other key=value fields, such as
-    n= and p=, are ignored."""
-    labels = []
-    for ln in text.splitlines():
-        if ln.strip():
-            what = f"label {ln.strip()!r}"
-            fields = _fields(ln.split(), what, ("c", "d"))
-            labels.append((parse_pattern(fields["c"]), _int_value(fields["d"], "d", what)))
-    return labels
-
-
-def labels_to_json(labels, n, p):
-    return {
-        "n": n,
-        "p": p,
-        "labels": [{"d": d, "c": list(c)} for c, d in labels],
-    }

@@ -79,18 +79,6 @@ def generator_factors(seg):
     return tuple(zip(seg.contents, seg.cut_points))
 
 
-def format_factors(factors, p):
-    parts = []
-    for cont, t in factors:
-        if cont == 0:
-            continue
-        if t == 0:
-            parts.append(f"m^{cont}")
-        else:
-            parts.append(f"(m^{cont})^[{p**t}]")
-    return " ".join(parts) if parts else "m^0"
-
-
 def syzygy_offsets(seg):
     """Offsets phi_r above the generating degree where first syzygies live.
 
@@ -158,8 +146,14 @@ class HilbertBurch:
 
 def hilbert_burch(ideal):
     """Resolution matrices for a two-variable ideal containing a power of each
-    variable. Verifies that the maps compose to zero and that the maximal
-    minors reproduce the generators."""
+    variable; refuses n != 2 and ideals without (a, 0) and (0, b) generators.
+
+    Column j is (b_{j+1} - b_j, a_j - a_{j+1}), so row j times the y-step and
+    row j+1 times the x-step are both x^(a_j) y^(b_{j+1}): the maps compose
+    to zero by construction. Deleting row k leaves y-steps below the diagonal
+    and x-steps above, so the minor is x^(a_k - a_{r-1}) y^(b_k - b_0), which
+    is generator k because depth zero gives b_0 = a_{r-1} = 0.
+    """
     if ideal.n != 2:
         raise ValueError("hilbert_burch handles two-variable ideals only")
     gens = sorted(ideal.generators, key=lambda g: -g[0])
@@ -172,18 +166,6 @@ def hilbert_burch(ideal):
     for j in range(r - 1):
         (a1, b1), (a2, b2) = gens[j], gens[j + 1]
         cols.append((b2 - b1, a1 - a2))
-    # composition: row j entry times y-step equals row j+1 entry times x-step
-    for j, (ystep, xstep) in enumerate(cols):
-        left = (gens[j][0], gens[j][1] + ystep)
-        right = (gens[j + 1][0] + xstep, gens[j + 1][1])
-        if left != right:
-            raise RuntimeError(f"syzygy column {j} does not compose to zero")
-    # maximal minors: deleting row k leaves y-steps below the diagonal and
-    # x-steps above, so the minor is x^(a_k - a_r) y^(b_k - b_1) = generator k
-    for k in range(r):
-        minor = (gens[k][0] - gens[-1][0], gens[k][1] - gens[0][1])
-        if minor != gens[k]:
-            raise RuntimeError(f"maximal minor {k} is {minor}, not {gens[k]}")
     return HilbertBurch(tuple(gens), tuple(cols))
 
 

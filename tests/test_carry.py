@@ -12,7 +12,6 @@ from carryideals.carry import (
     carry_pattern,
     cover_edges,
     enumerate_patterns,
-    format_pattern,
     is_valid_pattern,
     join,
     leq,
@@ -22,8 +21,8 @@ from carryideals.carry import (
     min_pattern,
     monomials_of_pattern,
     monomials_with_carry_leq,
-    parse_pattern,
 )
+from carryideals.cli import format_pattern, parse_pattern
 from oracles import (
     compositions,
     down_closure,

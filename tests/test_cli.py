@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from carryideals.cli import main
-from carryideals.ideals import carry_ideal, ideal_to_text
+from carryideals.cli import ideal_to_text, main
+from carryideals.ideals import carry_ideal
 
 SIX_TEXT = "ring n=2 p=2\n8 0\n7 3\n5 4\n4 5\n3 7\n0 8\n"
 
@@ -302,7 +302,12 @@ def test_degree_zero_label(capsys, argv):
 
 @pytest.mark.parametrize(
     "text, field",
-    [("ring n=2\n1 1\n", "p="), ("ring p=3\n1 1\n", "n=")],
+    [
+        ("ring n=2\n1 1\n", "p="),
+        ("ring p=3\n1 1\n", "n="),
+        ("ring n=2 p=2 p=3\n1 1\n", "error: the ring header repeats the p= field\n"),
+        ("ring n=2 n=2 p=2\n1 1\n", "error: the ring header repeats the n= field\n"),
+    ],
 )
 def test_malformed_ideal_header(capsys, monkeypatch, text, field):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -338,6 +343,18 @@ def test_malformed_ideal_header(capsys, monkeypatch, text, field):
          "non-integer n= field: 'two'"),
         (["compose", "-n", "2", "-p", "3", "-l", "p=3.0 d=4 c=(0)"],
          "label 'p=3.0 d=4 c=(0)' has a non-integer p= field: '3.0'"),
+        (["generators", "--label", "n=2 p=5 d=25 c=(0,1) d=26"],
+         "error: label 'n=2 p=5 d=25 c=(0,1) d=26' repeats the d= field\n"),
+        (["betti", "--label", "p=5 p=5 d=25 c=(0,1)"],
+         "error: label 'p=5 p=5 d=25 c=(0,1)' repeats the p= field\n"),
+        (["compose", "-n", "2", "-p", "3", "-l", "d=4 c=(0) c=(1)"],
+         "error: label 'd=4 c=(0) c=(1)' repeats the c= field\n"),
+        (["contains", "-n", "2", "-p", "2", "--outer", "d=1 c=() d=2 c=(1)",
+          "--inner", "d=2 c=(1)"],
+         "error: label 'd=1 c=() d=2 c=(1)' repeats the d= field\n"),
+        (["contains", "-n", "2", "-p", "2", "--outer", "d=1 c=()",
+          "--inner", "n=2 n=3 d=2 c=(1)"],
+         "error: label 'n=2 n=3 d=2 c=(1)' repeats the n= field\n"),
     ],
 )
 def test_malformed_label_argument(capsys, argv, field):
@@ -353,6 +370,9 @@ def test_malformed_label_argument(capsys, argv, field):
         ("d=4 c=(0)\nc=(0)\n", "d="),
         ("n=3 d=4 c=(0)\n", "n="),
         ("d=4 c=(0)\np=5 d=5 c=(0)\n", "p="),
+        ("d=4 c=(0) d=5\n", "error: label 'd=4 c=(0) d=5' repeats the d= field\n"),
+        ("d=4 c=(0)\np=3 d=5 c=(0) p=3\n",
+         "error: label 'p=3 d=5 c=(0) p=3' repeats the p= field\n"),
     ],
 )
 def test_malformed_labels_file(tmp_path, capsys, text, field):
@@ -367,3 +387,22 @@ def test_stdin_ideal(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(SIX_TEXT))
     code, out, _ = run(capsys, "decompose", "-")
     assert code == 0 and "d=10 c=(1,1,1)" in out
+
+
+@pytest.mark.parametrize("line", ["1 x", "2 1.5", "3 -"])
+def test_non_integer_generator_exponent(capsys, monkeypatch, line):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"ring n=2 p=2\n2 0\n{line}\n"))
+    bad = line.split()[1]
+    assert run(capsys, "decompose", "-") == (
+        2, "", f"error: generator line {line!r} has a non-integer exponent: {bad!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "exponents, bad",
+    [("", ""), ("1,,2", ""), ("4,x", "x"), ("4;6", "4;6")],
+)
+def test_non_integer_carry_exponent(capsys, exponents, bad):
+    assert run(capsys, "carry", "-p", "3", "-b", exponents) == (
+        2, "", f"error: -b {exponents!r} has a non-integer exponent: {bad!r}\n"
+    )

@@ -4,7 +4,8 @@ import pytest
 
 from carryideals.basep import expand
 from carryideals.carry import Context, carry_pattern, enumerate_patterns, leq
-from carryideals.gl2 import format_class, tor_class
+from carryideals.cli import format_class
+from carryideals.gl2 import tor_class
 from carryideals.ideals import MonomialIdeal, NotInvariantError, carry_ideal, ideal_from_labels
 from carryideals.koszul import koszul_betti, regularity
 from carryideals.twovars import betti_formula

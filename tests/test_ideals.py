@@ -5,6 +5,13 @@ from itertools import combinations
 import pytest
 
 from carryideals.carry import Context, enumerate_patterns, leq, max_pattern
+from carryideals.cli import (
+    ideal_from_text,
+    ideal_to_json,
+    ideal_to_text,
+    labels_from_text,
+    labels_to_text,
+)
 from carryideals.ideals import (
     MonomialIdeal,
     _fibers,
@@ -14,13 +21,8 @@ from carryideals.ideals import (
     frobenius_label,
     frobenius_power,
     ideal_from_labels,
-    ideal_from_text,
-    ideal_to_json,
-    ideal_to_text,
     invariance_witness,
     is_invariant,
-    labels_from_text,
-    labels_to_text,
     minimalize,
     power,
     product,
@@ -414,9 +416,9 @@ def test_json_round_trip():
 def test_labels_text_round_trip():
     text = labels_to_text(SIX_LABELS)
     assert "d=8 c=(0,0,0)" in text
-    assert labels_from_text(text) == SIX_LABELS
+    assert labels_from_text(text, 2, 2) == SIX_LABELS
     assert labels_from_text("n=2 p=2 d=8 c=(0,0,0)\n\n") == SIX_LABELS[:1]
     with pytest.raises(ValueError, match="no c= field"):
-        labels_from_text("d=8 c=(0,0,0)\nd=9\n")
+        labels_from_text("d=8 c=(0,0,0)\nd=9\n", 2, 2)
     with pytest.raises(ValueError, match="no d= field"):
-        labels_from_text("c=(0,0,0)\n")
+        labels_from_text("c=(0,0,0)\n", 2, 2)
